@@ -90,6 +90,8 @@ struct TierResult {
     closes: u64,   // no parseable response
     p50_us: f64,
     p99_us: f64,
+    /// Answers per second: only `200` and `206` count. Refusals
+    /// (`429`/`503`/`504`) and closes are not throughput.
     qps: f64,
     panics: u64,
     leaked: usize,
@@ -155,7 +157,7 @@ fn run_tier(path: &Path, clients: usize, per_client: usize, cfg: &ServeConfig) -
     served_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
     r.p50_us = percentile(&served_lat, 0.50);
     r.p99_us = percentile(&served_lat, 0.99);
-    r.qps = (r.total as u64 - r.closes) as f64 / wall;
+    r.qps = (r.ok + r.degraded) as f64 / wall;
     r
 }
 

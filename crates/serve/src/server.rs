@@ -2,7 +2,9 @@
 //! control, per-request deadlines, degraded-mode responses, and
 //! graceful drain.
 //!
-//! Life of a request: the acceptor thread polls the [`Listener`] and
+//! Life of a request: the acceptor thread blocks in the [`Listener`]
+//! until a connection arrives (waking at least every
+//! [`ServeConfig::accept_poll`] to recheck drain state) and
 //! either queues the connection (bounded queue), sheds it with `429` +
 //! `Retry-After` when the queue is full, or answers `503` while
 //! draining. A worker pops the connection, reads the head under the
@@ -52,7 +54,8 @@ pub struct ServeConfig {
     /// Transient-I/O retry policy (shared classification with the
     /// store's `store.io.*` path).
     pub retry: RetryPolicy,
-    /// Acceptor poll interval (also the shutdown-latency bound).
+    /// The longest an idle acceptor blocks before rechecking drain
+    /// state (also the shutdown-latency bound); arrivals wake it at once.
     pub accept_poll: Duration,
     /// How long a drain waits for in-flight requests before forcing
     /// shutdown.
@@ -105,12 +108,19 @@ pub struct ServerStats {
     pub queued: usize,
 }
 
+/// A connection waiting for a worker, stamped at admission when
+/// telemetry records counters (for `serve.queue_wait.us`).
+struct Queued {
+    conn: Box<dyn Conn>,
+    admitted: Option<Instant>,
+}
+
 struct Shared {
     store: Store,
     cfg: ServeConfig,
     state: AtomicU8,
     drain_started: Mutex<Option<Instant>>,
-    queue: Mutex<VecDeque<Box<dyn Conn>>>,
+    queue: Mutex<VecDeque<Queued>>,
     cv: Condvar,
     in_flight: AtomicUsize,
     accepted: AtomicU64,
@@ -174,7 +184,7 @@ pub struct Server {
 
 impl Server {
     /// Opens the store's chapter of threads: one acceptor plus
-    /// `cfg.workers` workers, all polling `listener`.
+    /// `cfg.workers` workers, fed from `listener`.
     pub fn start(store: Store, listener: Box<dyn Listener>, cfg: ServeConfig) -> io::Result<Self> {
         let addr = listener.local_addr();
         let workers_n = cfg.workers.max(1);
@@ -324,8 +334,10 @@ fn admit(shared: &Shared, mut conn: Box<dyn Conn>) {
         respond_best_effort(conn.as_mut(), resp);
         return;
     }
-    q.push_back(conn);
-    if tel::counters_enabled() {
+    // One mode check covers both the stamp and the depth gauge.
+    let admitted = tel::counters_enabled().then(Instant::now);
+    q.push_back(Queued { conn, admitted });
+    if admitted.is_some() {
         tel::gauge!("serve.queue.depth").set(q.len() as i64);
     }
     drop(q);
@@ -352,11 +364,14 @@ fn worker_loop(shared: &Shared) {
         let conn = {
             let mut q = shared.queue.lock().expect("queue poisoned");
             loop {
-                if let Some(c) = q.pop_front() {
+                if let Some(Queued { conn, admitted }) = q.pop_front() {
                     if tel::counters_enabled() {
                         tel::gauge!("serve.queue.depth").set(q.len() as i64);
                     }
-                    break Some(c);
+                    if let Some(t) = admitted {
+                        tel::record!("serve.queue_wait.us", t.elapsed().as_micros() as u64);
+                    }
+                    break Some(conn);
                 }
                 if shared.state() == STOPPED {
                     break None;

@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -46,7 +47,7 @@ pub trait Conn: Send {
 
 /// The accepting side of the seam. `accept_timeout` returns `Ok(None)`
 /// when no connection arrived within `wait`, so an acceptor thread can
-/// poll for shutdown between attempts instead of blocking forever.
+/// recheck shutdown between attempts instead of blocking forever.
 pub trait Listener: Send + Sync {
     /// Waits up to `wait` for one connection.
     fn accept_timeout(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>>;
@@ -58,10 +59,23 @@ pub trait Listener: Send + Sync {
 // ---------------------------------------------------------------------------
 // TCP.
 
-/// [`Listener`] over a non-blocking [`std::net::TcpListener`] — the
-/// production transport.
+/// [`Listener`] over a blocking [`std::net::TcpListener`] — the
+/// production transport. `accept_timeout` is one `accept()` bounded by
+/// the listening socket's `SO_RCVTIMEO`, so a connection is handed over
+/// the moment the kernel queues it, and an idle wait still ends after
+/// `wait`. Linux honours `SO_RCVTIMEO` on `accept`; on a kernel that
+/// ignores it, an idle accept blocks until the next connection.
+///
+/// Accepted sockets inherit the listener's `SO_RCVTIMEO`; the server
+/// sets its own read/write timeouts before every I/O call, so the
+/// inherited value never acts as a request deadline.
 pub struct TcpTransport {
     inner: TcpListener,
+    /// A second handle on the listening socket, used only to set its
+    /// `SO_RCVTIMEO` (std exposes that setter on streams, not listeners).
+    timeout_ctl: TcpStream,
+    /// The accept timeout currently set on the socket.
+    applied: Mutex<Option<Duration>>,
     addr: String,
 }
 
@@ -69,33 +83,42 @@ impl TcpTransport {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let inner = TcpListener::bind(addr)?;
-        inner.set_nonblocking(true)?;
+        let timeout_ctl = TcpStream::from(OwnedFd::from(inner.try_clone()?));
         let addr = inner
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into());
-        Ok(Self { inner, addr })
+        Ok(Self {
+            inner,
+            timeout_ctl,
+            applied: Mutex::new(None),
+            addr,
+        })
     }
 }
 
 impl Listener for TcpTransport {
     fn accept_timeout(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>> {
-        let deadline = Instant::now() + wait;
-        loop {
-            match self.inner.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(Some(Box::new(TcpConn(stream))));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+        // std rejects a zero timeout (it would mean "block forever").
+        let wait = wait.max(Duration::from_micros(1));
+        {
+            let mut applied = self.applied.lock().expect("accept timeout poisoned");
+            if *applied != Some(wait) {
+                self.timeout_ctl.set_read_timeout(Some(wait))?;
+                *applied = Some(wait);
             }
+        }
+        match self.inner.accept() {
+            Ok((stream, _)) => Ok(Some(Box::new(TcpConn(stream)))),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(None)
+            }
+            Err(e) => Err(e),
         }
     }
 
@@ -535,7 +558,7 @@ impl Listener for FaultyTransport {
     fn accept_timeout(&self, wait: Duration) -> io::Result<Option<Box<dyn Conn>>> {
         // Only count (and possibly fault) attempts that would hand a
         // connection to the server, or "the Nth accept" would depend on
-        // how often the acceptor polls an idle listener.
+        // how often an idle acceptor's wait runs out.
         let conn = match self.inner.accept_timeout(wait)? {
             None => return Ok(None),
             Some(c) => c,
@@ -696,6 +719,67 @@ mod tests {
             .accept_timeout(Duration::from_millis(5))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn tcp_accept_times_out_when_idle() {
+        let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
+        let t0 = Instant::now();
+        assert!(listener
+            .accept_timeout(Duration::from_millis(5))
+            .unwrap()
+            .is_none());
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "idle accept took {took:?}"
+        );
+    }
+
+    #[test]
+    fn tcp_accept_wakes_on_arrival() {
+        let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let client = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            TcpConn::connect(addr).unwrap()
+        });
+        let t0 = Instant::now();
+        let conn = listener.accept_timeout(Duration::from_secs(2)).unwrap();
+        let took = t0.elapsed();
+        assert!(conn.is_some(), "the connection was not accepted");
+        assert!(took < Duration::from_secs(1), "accept woke after {took:?}");
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_accept_honours_a_changed_wait() {
+        let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
+        let timed = |ms| {
+            let t0 = Instant::now();
+            assert!(listener
+                .accept_timeout(Duration::from_millis(ms))
+                .unwrap()
+                .is_none());
+            t0.elapsed()
+        };
+        let short = timed(5);
+        assert!(
+            short < Duration::from_millis(250),
+            "5 ms wait took {short:?}"
+        );
+        let long = timed(30);
+        assert!(
+            long >= Duration::from_millis(25),
+            "30 ms wait took {long:?}"
+        );
+        assert!(
+            long < Duration::from_millis(500),
+            "30 ms wait took {long:?}"
+        );
+        // A zero wait is clamped to the smallest timeout, not "forever".
+        let zero = timed(0);
+        assert!(zero < Duration::from_millis(250), "zero wait took {zero:?}");
     }
 
     #[test]

@@ -65,6 +65,38 @@ fn tcp_end_to_end_matches_direct_queries() {
     assert_eq!(stats.panics, 0);
 }
 
+/// Accepted sockets inherit the listener's accept timeout
+/// (`SO_RCVTIMEO` = `accept_poll`). A client that pauses for several
+/// such periods before sending its head must still be answered: the
+/// request deadline, not the inherited timeout, bounds the read.
+#[test]
+fn tcp_slow_head_outlives_the_inherited_accept_timeout() {
+    let dir = tmp_dir("tcp-slow-head");
+    let path = write_store(&dir);
+    let q = Query::all(Aggregate::Sum);
+    let (direct, report) = Store::open(&path).unwrap().query_degraded(&q).unwrap();
+    let expected_body = encode_query_body(&direct, &report);
+
+    let cfg = ServeConfig {
+        accept_poll: Duration::from_millis(20),
+        ..quick_cfg()
+    };
+    let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+    let server =
+        Server::start(Store::open(&path).unwrap(), Box::new(listener), cfg.clone()).unwrap();
+
+    let mut conn = TcpConn::connect(&addr).unwrap();
+    std::thread::sleep(3 * cfg.accept_poll);
+    let resp = http_get(&mut conn, "/query?agg=sum", CLIENT_TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "body: {}", resp.body_text());
+    assert_eq!(resp.body_text(), expected_body);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(stats.panics, 0);
+}
+
 #[test]
 fn degraded_store_serves_206_with_bit_identical_body() {
     let dir = tmp_dir("degraded");
@@ -331,6 +363,11 @@ fn metrics_endpoint_exposes_serve_counters() {
     let body = resp.body_text();
     assert!(
         body.contains("blazr_serve_requests_total"),
+        "metrics body:\n{body}"
+    );
+    // Connections admitted while counting carry a queue-wait sample.
+    assert!(
+        body.contains("blazr_serve_queue_wait_us_count"),
         "metrics body:\n{body}"
     );
     assert!(body.contains("# TYPE"));

@@ -6,7 +6,7 @@ use blazr::dynamic::{compress_dyn, from_bytes_dyn};
 use blazr::ops::SsimParams;
 use blazr::tune::{tune_for_linf, TuneOptions};
 use blazr::{IndexType, PruningMask, ScalarType, Settings};
-use blazr_telemetry as tel;
+use blazr_telemetry::{self as tel, escape_json, json_f64};
 use std::fs;
 use std::path::Path;
 
@@ -572,8 +572,8 @@ fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
                     println!(
                         "{{\n  \"file\": \"{}\",\n  \"outcome\": \"corrupt\",\n  \
                          \"error\": \"{}\"\n}}",
-                        input.replace('"', "\\\""),
-                        e.to_string().replace('"', "\\\"")
+                        escape_json(input),
+                        escape_json(&e.to_string())
                     );
                 } else {
                     eprintln!("{input}: corrupt beyond salvage: {e}");
@@ -609,10 +609,7 @@ fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
     };
     if json {
         let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"file\": \"{}\",\n",
-            input.replace('"', "\\\"")
-        ));
+        out.push_str(&format!("  \"file\": \"{}\",\n", escape_json(input)));
         out.push_str(&format!(
             "  \"outcome\": \"{}\",\n",
             match outcome {
@@ -637,7 +634,7 @@ fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
                 Some(e) => out.push_str(&format!(
                     "{sep}\n    {{\"label\": {label}, \"rows\": {rows}, \"ok\": false, \
                      \"error\": \"{}\"}}",
-                    e.replace('"', "\\\"")
+                    escape_json(e)
                 )),
             }
         }
@@ -782,16 +779,6 @@ fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// A finite f64 as a JSON number, non-finite as `null` (JSON has no
-/// Infinity/NaN literals).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".into()
-    }
-}
-
 fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
     use blazr_store::Store;
     let args = Args::parse(argv, &["json"])?;
@@ -801,7 +788,8 @@ fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
         .ok_or("store stat needs a store file")?;
     let store = Store::open(input).map_err(|e| e.to_string())?;
     if args.has_flag("json") {
-        return store_stat_json(input, &store);
+        println!("{}", store_stat_json(input, &store)?);
+        return Ok(());
     }
     println!("file           : {input}");
     println!("format         : {:?}", store.format_version());
@@ -861,14 +849,11 @@ fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 /// `store stat --json`: the same index accounting as the text form, as
-/// one JSON object on stdout (hand-rolled — the workspace takes no
-/// external dependencies).
-fn store_stat_json(input: &str, store: &blazr_store::Store) -> Result<(), String> {
+/// one JSON object (hand-rolled — the workspace takes no external
+/// dependencies).
+fn store_stat_json(input: &str, store: &blazr_store::Store) -> Result<String, String> {
     let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"file\": \"{}\",\n",
-        input.replace('"', "\\\"")
-    ));
+    out.push_str(&format!("  \"file\": \"{}\",\n", escape_json(input)));
     out.push_str(&format!(
         "  \"format\": \"{:?}\",\n",
         store.format_version()
@@ -916,16 +901,15 @@ fn store_stat_json(input: &str, store: &blazr_store::Store) -> Result<(), String
             "{sep}\n    {{\"label\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
              \"l2\": {}, \"linf\": {}}}",
             e.label,
-            json_num(e.zone.stats.min_bound),
-            json_num(e.zone.stats.max_bound),
-            json_num(e.zone.mean()),
-            json_num(e.zone.stats.l2_norm()),
-            json_num(e.zone.bounds.linf),
+            json_f64(e.zone.stats.min_bound),
+            json_f64(e.zone.stats.max_bound),
+            json_f64(e.zone.mean()),
+            json_f64(e.zone.stats.l2_norm()),
+            json_f64(e.zone.bounds.linf),
         ));
     }
     out.push_str("\n  ]\n}");
-    println!("{out}");
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1126,6 +1110,11 @@ mod tests {
         ]))
         .unwrap();
         run(&sv(&["store", "stat", blzs.to_str().unwrap(), "--json"])).unwrap();
+        // The "file" field is escaped: `\q` is no JSON escape at all, and
+        // a raw `\b` would silently decode as a backspace.
+        let store = blazr_store::Store::open(&blzs).unwrap();
+        let json = store_stat_json("a\\q\\b\"c.blzs", &store).unwrap();
+        assert!(json.contains(r#""file": "a\\q\\b\"c.blzs","#), "{json}");
         run(&sv(&[
             "telemetry",
             blzs.to_str().unwrap(),

@@ -29,7 +29,7 @@
 //! | per piece: word count, escape count | 32 + 32 |
 //! | per piece: rANS words, then raw escaped values | 32 each, `i` each |
 //!
-//! Pieces cover [`BLOCKS_PER_PIECE`] blocks each — the same block ranges
+//! Pieces cover `BLOCKS_PER_PIECE` blocks each — the same block ranges
 //! the fixed-width path parallelizes over — and are encoded
 //! independently and spliced in piece order, so serialized bytes are
 //! bit-identical at any thread count. Entropy coding is lossless: the

@@ -11,6 +11,7 @@
 
 use crate::transport::Conn;
 use blazr_telemetry as tel;
+pub use blazr_telemetry::{escape_json, json_f64};
 use blazr_util::retry::RetryPolicy;
 use std::io;
 use std::time::{Duration, Instant};
@@ -201,7 +202,12 @@ fn percent_decode(s: &str) -> Result<String, u16> {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
+                // Both bytes must be hex digits: `from_str_radix` alone
+                // would accept a sign, decoding `%+5` as 0x05.
                 let hex = bytes.get(i + 1..i + 3).ok_or(400u16)?;
+                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                    return Err(400);
+                }
                 let hex = std::str::from_utf8(hex).map_err(|_| 400u16)?;
                 out.push(u8::from_str_radix(hex, 16).map_err(|_| 400u16)?);
                 i += 3;
@@ -329,34 +335,6 @@ pub fn write_response(
         sent += n;
     }
     Ok(())
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A finite float as JSON (`null` for NaN/infinity, which JSON cannot
-/// represent). Rust's `{}` float formatting round-trips, so the value
-/// survives serialization bit-exactly.
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -526,6 +504,7 @@ mod tests {
         assert_eq!(parse_request(b"garbage\r\n\r\n"), Err(400));
         assert_eq!(parse_request(b"GET q HTTP/1.1\r\n\r\n"), Err(400));
         assert_eq!(parse_request(b"GET /q?x=%zz HTTP/1.1\r\n\r\n"), Err(400));
+        assert_eq!(parse_request(b"GET /q?x=%+5 HTTP/1.1\r\n\r\n"), Err(400));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! fault-inject exhaustively. Three layers:
 //!
 //! * [`transport`] — the [`transport::Listener`]/[`transport::Conn`]
-//!   seam (TCP, in-process pipes, and a scriptable
-//!   [`transport::FaultyTransport`] mirroring `blazr_util::vfs`'s
-//!   storage-fault plans);
+//!   seam (TCP, in-process pipes, and [`transport::FaultyTransport`],
+//!   a network adapter over the same `blazr_util::fault::Script` that
+//!   drives storage faults);
 //! * [`http`] — bounded request parsing, deadline-aware retried I/O,
 //!   and a tiny client for tests and load generation;
 //! * [`server`] — the bounded-queue thread pool: admission control
@@ -25,6 +25,5 @@ pub mod transport;
 pub use http::{http_get, ClientResponse, Deadline, Request, Response};
 pub use server::{encode_query_body, ServeConfig, Server, ServerStats};
 pub use transport::{
-    Conn, FaultyTransport, Listener, MemConn, MemTransport, TcpConn, TcpTransport, TransportFault,
-    TransportOp, TransportRule,
+    Conn, FaultyTransport, Listener, MemConn, MemTransport, TcpConn, TcpTransport, TransportOp,
 };

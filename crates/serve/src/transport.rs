@@ -7,21 +7,21 @@
 //! [`Listener`]/[`Conn`] name exactly that set, [`TcpTransport`] /
 //! [`TcpConn`] implement it on `std::net`, [`MemTransport`] implements
 //! it on in-process condvar pipes (so chaos tests run with no sockets
-//! and no ports), and [`FaultyTransport`] wraps any listener with a
-//! **scriptable fault plan**: reset the Nth accept, tear a write after
-//! k bytes (the prefix really reaches the peer — a client sees exactly
+//! and no ports), and [`FaultyTransport`] wraps any listener with the
+//! workspace's one fault script ([`blazr_util::fault::Script`]) over the
+//! [`TransportOp`] classes: reset the Nth accept, tear a write after k
+//! bytes (the prefix really reaches the peer — a client sees exactly
 //! the truncated response a mid-flight reset leaves), cut a read short,
 //! return EINTR-style transients that succeed on retry, or stall an
-//! operation slow-loris style until it times out. Every fault is
-//! deterministic — a plan is a list of [`TransportRule`]s keyed by
+//! operation slow-loris style until it times out. Rules are keyed by
 //! per-operation indices, so a chaos suite can sweep "break the Nth
 //! read" across every boundary of an exchange exhaustively.
 
+use blazr_util::fault::{Fault, Op, Script};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::OwnedFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -346,8 +346,8 @@ impl Listener for MemTransport {
 // ---------------------------------------------------------------------------
 // Fault injection.
 
-/// The operation classes a [`TransportRule`] can target. Each class
-/// keeps its own monotonically increasing index across the whole
+/// The transport operation classes a [`Rule`](blazr_util::fault::Rule)
+/// can target. Each class keeps its own index across the whole
 /// [`FaultyTransport`], so "the Nth read" is well-defined regardless of
 /// which connection performs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,197 +360,38 @@ pub enum TransportOp {
     Write,
 }
 
-const N_T_OPS: usize = 3;
-
-impl TransportOp {
+impl Op for TransportOp {
     fn index(self) -> usize {
-        match self {
-            TransportOp::Accept => 0,
-            TransportOp::Read => 1,
-            TransportOp::Write => 2,
-        }
-    }
-}
-
-/// What happens when a transport rule fires.
-#[derive(Debug, Clone)]
-pub enum TransportFault {
-    /// Fail outright with this error kind (e.g. `ConnectionReset`,
-    /// `BrokenPipe`). Fires once.
-    Fail(io::ErrorKind),
-    /// EINTR-style transient: the operation fails `failures` consecutive
-    /// times with `kind`, then succeeds — the shape a bounded-retry
-    /// server must absorb.
-    Transient {
-        /// Consecutive failing attempts before success.
-        failures: u32,
-        /// The error kind each failing attempt reports.
-        kind: io::ErrorKind,
-    },
-    /// Torn write: only the first `keep` bytes reach the peer, then the
-    /// write reports `ConnectionReset` — mid-response resets leave the
-    /// client holding exactly this truncated prefix. Fires once.
-    TornWrite {
-        /// Bytes delivered before the reset.
-        keep: usize,
-    },
-    /// Torn read: at most `keep` bytes of this read are delivered, and
-    /// the connection reads EOF from then on — the peer vanished
-    /// mid-request. Fires once.
-    TornRead {
-        /// Bytes delivered before the premature EOF.
-        keep: usize,
-    },
-    /// Slow-loris stall: sleep `dur`, then report `TimedOut` — what a
-    /// socket timeout turns a glacial peer into. Fires once.
-    Stall {
-        /// How long the operation hangs before timing out.
-        dur: Duration,
-    },
-}
-
-/// One scripted transport fault: when the `nth` operation of class `op`
-/// (0-based, counted across the whole [`FaultyTransport`]) arrives,
-/// `fault` happens.
-#[derive(Debug, Clone)]
-pub struct TransportRule {
-    /// Which operation class this rule watches.
-    pub op: TransportOp,
-    /// The 0-based operation index at which the rule arms.
-    pub nth: u64,
-    /// The injected behavior.
-    pub fault: TransportFault,
-}
-
-/// A rule plus its remaining-fire budget ([`TransportFault::Transient`]
-/// fires multiple times; everything else once).
-struct Armed {
-    rule: TransportRule,
-    remaining: u32,
-}
-
-#[derive(Default)]
-struct TransportFaultState {
-    rules: Mutex<Vec<Armed>>,
-    counts: [AtomicU64; N_T_OPS],
-}
-
-impl TransportFaultState {
-    /// Claims the next index for `op` and returns the fault to inject,
-    /// if a rule fires at it.
-    fn tick(&self, op: TransportOp) -> Option<TransportFault> {
-        let idx = self.counts[op.index()].fetch_add(1, Ordering::Relaxed);
-        let mut rules = self.rules.lock().expect("transport rules poisoned");
-        for armed in rules.iter_mut() {
-            if armed.rule.op == op && idx >= armed.rule.nth && armed.remaining > 0 {
-                armed.remaining -= 1;
-                return Some(armed.rule.fault.clone());
-            }
-        }
-        None
-    }
-
-    fn err(kind: io::ErrorKind, what: &str) -> io::Error {
-        io::Error::new(kind, format!("injected transport fault: {what}"))
+        self as usize
     }
 }
 
 /// A [`Listener`] wrapper that injects scripted, deterministic network
-/// faults — see the module docs. Clones share the same fault plan and
-/// operation counters, so a chaos test keeps a handle for arming rules
-/// and reading [`FaultyTransport::op_count`] while the server owns
-/// another.
+/// faults — see the module docs. Clones share the same [`Script`], so a
+/// chaos test keeps a handle for arming rules and reading op counts
+/// while the server owns another.
+///
+/// A [`Fault::Tear`] on a write delivers its prefix to the peer, then
+/// reports `ConnectionReset`; on a read it delivers at most `keep`
+/// bytes, and the connection reads EOF from then on.
 #[derive(Clone)]
 pub struct FaultyTransport {
     inner: Arc<dyn Listener>,
-    state: Arc<TransportFaultState>,
+    script: Arc<Script<TransportOp>>,
 }
 
 impl FaultyTransport {
-    /// Wraps `inner` with an (initially empty) fault plan.
+    /// Wraps `inner` with an (initially empty) fault script.
     pub fn new(inner: impl Listener + 'static) -> Self {
         Self {
             inner: Arc::new(inner),
-            state: Arc::new(TransportFaultState::default()),
+            script: Arc::default(),
         }
     }
 
-    /// Adds a rule to the plan.
-    pub fn arm(&self, rule: TransportRule) {
-        let remaining = match rule.fault {
-            TransportFault::Transient { failures, .. } => failures,
-            _ => 1,
-        };
-        self.state
-            .rules
-            .lock()
-            .expect("transport rules poisoned")
-            .push(Armed { rule, remaining });
-    }
-
-    /// Fails the `nth` operation of class `op` with `kind`.
-    pub fn fail_nth(&self, op: TransportOp, nth: u64, kind: io::ErrorKind) {
-        self.arm(TransportRule {
-            op,
-            nth,
-            fault: TransportFault::Fail(kind),
-        });
-    }
-
-    /// Makes ops of class `op` starting at the `nth` fail `failures`
-    /// times with `Interrupted`, then succeed.
-    pub fn transient(&self, op: TransportOp, nth: u64, failures: u32) {
-        self.arm(TransportRule {
-            op,
-            nth,
-            fault: TransportFault::Transient {
-                failures,
-                kind: io::ErrorKind::Interrupted,
-            },
-        });
-    }
-
-    /// Tears the `nth` write after `keep` bytes.
-    pub fn torn_write(&self, nth: u64, keep: usize) {
-        self.arm(TransportRule {
-            op: TransportOp::Write,
-            nth,
-            fault: TransportFault::TornWrite { keep },
-        });
-    }
-
-    /// Cuts the `nth` read short after at most `keep` bytes.
-    pub fn torn_read(&self, nth: u64, keep: usize) {
-        self.arm(TransportRule {
-            op: TransportOp::Read,
-            nth,
-            fault: TransportFault::TornRead { keep },
-        });
-    }
-
-    /// Stalls the `nth` operation of class `op` for `dur`, then times
-    /// it out.
-    pub fn stall(&self, op: TransportOp, nth: u64, dur: Duration) {
-        self.arm(TransportRule {
-            op,
-            nth,
-            fault: TransportFault::Stall { dur },
-        });
-    }
-
-    /// Drops all rules (operation counters keep running).
-    pub fn clear(&self) {
-        self.state
-            .rules
-            .lock()
-            .expect("transport rules poisoned")
-            .clear();
-    }
-
-    /// How many operations of class `op` have been issued so far — the
-    /// handle a chaos sweep uses to enumerate every boundary.
-    pub fn op_count(&self, op: TransportOp) -> u64 {
-        self.state.counts[op.index()].load(Ordering::Relaxed)
+    /// The fault script every operation consults.
+    pub fn script(&self) -> &Script<TransportOp> {
+        &self.script
     }
 }
 
@@ -559,25 +400,15 @@ impl Listener for FaultyTransport {
         // Only count (and possibly fault) attempts that would hand a
         // connection to the server, or "the Nth accept" would depend on
         // how often an idle acceptor's wait runs out.
-        let conn = match self.inner.accept_timeout(wait)? {
-            None => return Ok(None),
-            Some(c) => c,
+        let Some(inner) = self.inner.accept_timeout(wait)? else {
+            return Ok(None);
         };
-        match self.state.tick(TransportOp::Accept) {
-            None => Ok(Some(Box::new(FaultyConn {
-                inner: conn,
-                state: Arc::clone(&self.state),
-                torn_eof: false,
-            }))),
-            Some(TransportFault::Fail(kind)) | Some(TransportFault::Transient { kind, .. }) => {
-                Err(TransportFaultState::err(kind, "accept"))
-            }
-            Some(TransportFault::Stall { dur }) => {
-                std::thread::sleep(dur);
-                Err(TransportFaultState::err(io::ErrorKind::TimedOut, "accept"))
-            }
-            Some(_) => Err(TransportFaultState::err(io::ErrorKind::Other, "accept")),
-        }
+        self.script.guard(TransportOp::Accept, "accept")?;
+        Ok(Some(Box::new(FaultyConn {
+            inner,
+            script: Arc::clone(&self.script),
+            torn_eof: false,
+        })))
     }
 
     fn local_addr(&self) -> String {
@@ -585,11 +416,11 @@ impl Listener for FaultyTransport {
     }
 }
 
-/// A connection whose reads and writes consult the shared fault plan.
+/// A connection whose reads and writes consult the shared fault script.
 struct FaultyConn {
     inner: Box<dyn Conn>,
-    state: Arc<TransportFaultState>,
-    /// A fired [`TransportFault::TornRead`] latches EOF here.
+    script: Arc<Script<TransportOp>>,
+    /// A torn read latches EOF here.
     torn_eof: bool,
 }
 
@@ -598,12 +429,9 @@ impl Conn for FaultyConn {
         if self.torn_eof {
             return Ok(0);
         }
-        match self.state.tick(TransportOp::Read) {
+        match self.script.tick(TransportOp::Read) {
             None => self.inner.read(buf),
-            Some(TransportFault::Fail(kind)) | Some(TransportFault::Transient { kind, .. }) => {
-                Err(TransportFaultState::err(kind, "read"))
-            }
-            Some(TransportFault::TornRead { keep }) => {
+            Some(Fault::Tear { keep }) => {
                 self.torn_eof = true;
                 let keep = keep.min(buf.len());
                 if keep == 0 {
@@ -611,23 +439,14 @@ impl Conn for FaultyConn {
                 }
                 self.inner.read(&mut buf[..keep])
             }
-            Some(TransportFault::Stall { dur }) => {
-                std::thread::sleep(dur);
-                Err(TransportFaultState::err(io::ErrorKind::TimedOut, "read"))
-            }
-            Some(TransportFault::TornWrite { .. }) => {
-                Err(TransportFaultState::err(io::ErrorKind::Other, "read"))
-            }
+            Some(fault) => Err(fault.into_error("read")),
         }
     }
 
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.state.tick(TransportOp::Write) {
+        match self.script.tick(TransportOp::Write) {
             None => self.inner.write(buf),
-            Some(TransportFault::Fail(kind)) | Some(TransportFault::Transient { kind, .. }) => {
-                Err(TransportFaultState::err(kind, "write"))
-            }
-            Some(TransportFault::TornWrite { keep }) => {
+            Some(Fault::Tear { keep }) => {
                 // The prefix really reaches the peer, like a reset
                 // mid-flight: push it through the inner conn before
                 // reporting the failure.
@@ -639,18 +458,9 @@ impl Conn for FaultyConn {
                         Ok(n) => sent += n,
                     }
                 }
-                Err(TransportFaultState::err(
-                    io::ErrorKind::ConnectionReset,
-                    "torn write",
-                ))
+                Err(Fault::Fail(io::ErrorKind::ConnectionReset).into_error("torn write"))
             }
-            Some(TransportFault::Stall { dur }) => {
-                std::thread::sleep(dur);
-                Err(TransportFaultState::err(io::ErrorKind::TimedOut, "write"))
-            }
-            Some(TransportFault::TornRead { .. }) => {
-                Err(TransportFaultState::err(io::ErrorKind::Other, "write"))
-            }
+            Some(fault) => Err(fault.into_error("write")),
         }
     }
 
@@ -786,7 +596,7 @@ mod tests {
     fn faulty_transport_tears_writes_and_counts_ops() {
         let mem = MemTransport::new();
         let faulty = FaultyTransport::new(mem.clone());
-        faulty.torn_write(0, 3);
+        faulty.script().tear(TransportOp::Write, 0, 3);
         let mut client = mem.connect();
         let mut server = faulty
             .accept_timeout(Duration::from_millis(100))
@@ -800,15 +610,15 @@ mod tests {
         assert_eq!(&buf[..3], b"abc");
         // The rule fired once; later writes succeed.
         server.write(b"gh").unwrap();
-        assert_eq!(faulty.op_count(TransportOp::Write), 2);
-        assert_eq!(faulty.op_count(TransportOp::Accept), 1);
+        assert_eq!(faulty.script().op_count(TransportOp::Write), 2);
+        assert_eq!(faulty.script().op_count(TransportOp::Accept), 1);
     }
 
     #[test]
     fn torn_read_latches_eof() {
         let mem = MemTransport::new();
         let faulty = FaultyTransport::new(mem.clone());
-        faulty.torn_read(0, 2);
+        faulty.script().tear(TransportOp::Read, 0, 2);
         let mut client = mem.connect();
         let mut server = faulty
             .accept_timeout(Duration::from_millis(100))
@@ -825,7 +635,7 @@ mod tests {
     fn transient_faults_recover() {
         let mem = MemTransport::new();
         let faulty = FaultyTransport::new(mem.clone());
-        faulty.transient(TransportOp::Read, 0, 2);
+        faulty.script().transient(TransportOp::Read, 0, 2);
         let mut client = mem.connect();
         let mut server = faulty
             .accept_timeout(Duration::from_millis(100))

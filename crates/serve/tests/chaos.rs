@@ -11,12 +11,11 @@
 mod common;
 
 use blazr_serve::http::http_get;
-use blazr_serve::transport::{
-    FaultyTransport, MemTransport, TransportFault, TransportOp, TransportRule,
-};
+use blazr_serve::transport::{FaultyTransport, MemTransport, TransportOp};
 use blazr_serve::{encode_query_body, ClientResponse, ServeConfig, Server};
 use blazr_store::{Aggregate, Query, Store};
 use blazr_telemetry as tel;
+use blazr_util::fault::{Fault, Rule};
 use common::{corrupt_chunk, tmp_dir, write_store};
 use std::io;
 use std::path::Path;
@@ -63,28 +62,24 @@ fn run_exchange(mem: &MemTransport) -> io::Result<ClientResponse> {
 }
 
 /// The fault menu the sweep injects at every boundary.
-fn fault_menu() -> Vec<(&'static str, TransportFault)> {
+/// A tear is a real tear on whichever op it lands: a read delivers at
+/// most `keep` bytes then EOF, a write delivers `keep` bytes then resets.
+fn fault_menu() -> Vec<(&'static str, Fault)> {
     vec![
-        (
-            "reset",
-            TransportFault::Fail(io::ErrorKind::ConnectionReset),
-        ),
-        (
-            "broken-pipe",
-            TransportFault::Fail(io::ErrorKind::BrokenPipe),
-        ),
+        ("reset", Fault::Fail(io::ErrorKind::ConnectionReset)),
+        ("broken-pipe", Fault::Fail(io::ErrorKind::BrokenPipe)),
         (
             "transient-x2",
-            TransportFault::Transient {
+            Fault::Transient {
                 failures: 2,
                 kind: io::ErrorKind::Interrupted,
             },
         ),
-        ("torn-write", TransportFault::TornWrite { keep: 17 }),
-        ("torn-read", TransportFault::TornRead { keep: 5 }),
+        ("tear-17", Fault::Tear { keep: 17 }),
+        ("tear-5", Fault::Tear { keep: 5 }),
         (
             "stall",
-            TransportFault::Stall {
+            Fault::Stall {
                 dur: Duration::from_millis(20),
             },
         ),
@@ -96,11 +91,10 @@ fn fault_menu() -> Vec<(&'static str, TransportFault)> {
 fn enumerate_ops(path: &Path) -> Vec<(TransportOp, u64)> {
     let (server, mem, faulty) = start_server(path);
     run_exchange(&mem).expect("clean dry run");
-    let counts = vec![
-        (TransportOp::Accept, faulty.op_count(TransportOp::Accept)),
-        (TransportOp::Read, faulty.op_count(TransportOp::Read)),
-        (TransportOp::Write, faulty.op_count(TransportOp::Write)),
-    ];
+    let counts: Vec<_> = [TransportOp::Accept, TransportOp::Read, TransportOp::Write]
+        .into_iter()
+        .map(|op| (op, faulty.script().op_count(op)))
+        .collect();
     let stats = server.shutdown();
     assert_eq!(stats.panics, 0);
     let total: u64 = counts.iter().map(|&(_, n)| n).sum();
@@ -121,7 +115,7 @@ fn sweep(path: &Path, reference_status: u16, reference_body: &str) {
             for (name, fault) in fault_menu() {
                 let case = format!("{op:?} #{nth} {name}");
                 let (server, mem, faulty) = start_server(path);
-                faulty.arm(TransportRule { op, nth, fault });
+                faulty.script().arm(Rule { op, nth, fault });
                 match run_exchange(&mem) {
                     Ok(resp) => {
                         assert!(
@@ -144,7 +138,7 @@ fn sweep(path: &Path, reference_status: u16, reference_body: &str) {
                         // survived it.
                     }
                 }
-                faulty.clear();
+                faulty.script().clear();
                 let verify = run_exchange(&mem)
                     .unwrap_or_else(|e| panic!("{case}: server dead after fault: {e}"));
                 assert_eq!(verify.status, reference_status, "{case}");
@@ -259,7 +253,8 @@ fn transient_faults_are_retried_and_counted() {
     let (server, mem, faulty) = start_server(&path);
 
     tel::set_mode(tel::Mode::Counters);
-    faulty.transient(TransportOp::Read, faulty.op_count(TransportOp::Read), 2);
+    let script = faulty.script();
+    script.transient(TransportOp::Read, script.op_count(TransportOp::Read), 2);
     let resp = run_exchange(&mem).expect("retries should absorb the transient");
     assert_eq!(resp.status, 200);
     let snap = tel::registry().snapshot();

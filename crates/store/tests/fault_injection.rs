@@ -82,10 +82,10 @@ fn crash_point_sweep_never_leaves_garbage() {
     let probe = FaultyVfs::os();
     let probe_dest = dir.join("probe.blzs");
     ingest_through(Arc::new(probe.clone()), &probe_dest).unwrap();
-    let writes = probe.op_count(FaultOp::Write);
-    let syncs = probe.op_count(FaultOp::Sync);
-    let renames = probe.op_count(FaultOp::Rename);
-    let dir_syncs = probe.op_count(FaultOp::SyncDir);
+    let writes = probe.script().op_count(FaultOp::Write);
+    let syncs = probe.script().op_count(FaultOp::Sync);
+    let renames = probe.script().op_count(FaultOp::Rename);
+    let dir_syncs = probe.script().op_count(FaultOp::SyncDir);
     assert!(writes >= 10, "expected many write boundaries, got {writes}");
     // The ingest is deterministic, so the probe's output doubles as the
     // expected "new" store image.
@@ -114,10 +114,11 @@ fn crash_point_sweep_never_leaves_garbage() {
         // write that persists a 33-byte prefix.
         for what in ["enospc", "torn-0", "torn-33"] {
             let vfs = FaultyVfs::os();
+            let script = vfs.script();
             match what {
-                "enospc" => vfs.fail_nth(FaultOp::Write, n, std::io::ErrorKind::StorageFull),
-                "torn-0" => vfs.torn_write(n, 0),
-                _ => vfs.torn_write(n, 33),
+                "enospc" => script.fail_nth(FaultOp::Write, n, std::io::ErrorKind::StorageFull),
+                "torn-0" => script.tear(FaultOp::Write, n, 0),
+                _ => script.tear(FaultOp::Write, n, 33),
             }
             let err = ingest_through(Arc::new(vfs), &dest);
             assert!(err.is_err(), "write {n} ({what}): fault did not surface");
@@ -127,14 +128,16 @@ fn crash_point_sweep_never_leaves_garbage() {
     }
     for n in 0..syncs {
         let vfs = FaultyVfs::os();
-        vfs.fail_nth(FaultOp::Sync, n, std::io::ErrorKind::Other);
+        vfs.script()
+            .fail_nth(FaultOp::Sync, n, std::io::ErrorKind::Other);
         assert!(ingest_through(Arc::new(vfs), &dest).is_err());
         check(&format!("sync {n}"));
         points += 1;
     }
     for n in 0..renames {
         let vfs = FaultyVfs::os();
-        vfs.fail_nth(FaultOp::Rename, n, std::io::ErrorKind::Other);
+        vfs.script()
+            .fail_nth(FaultOp::Rename, n, std::io::ErrorKind::Other);
         assert!(ingest_through(Arc::new(vfs), &dest).is_err());
         check(&format!("rename {n}"));
         points += 1;
@@ -144,7 +147,8 @@ fn crash_point_sweep_never_leaves_garbage() {
         // reports failure, but the destination already holds the new
         // store — which is exactly what `check` permits.
         let vfs = FaultyVfs::os();
-        vfs.fail_nth(FaultOp::SyncDir, n, std::io::ErrorKind::Other);
+        vfs.script()
+            .fail_nth(FaultOp::SyncDir, n, std::io::ErrorKind::Other);
         assert!(ingest_through(Arc::new(vfs), &dest).is_err());
         check(&format!("sync_dir {n}"));
         points += 1;
@@ -165,13 +169,14 @@ fn aborted_ingest_leaves_the_directory_clean() {
     let probe_dir = tmp_dir("clean-probe");
     let probe = FaultyVfs::os();
     ingest_through(Arc::new(probe.clone()), &probe_dir.join("probe.blzs")).unwrap();
-    let writes = probe.op_count(FaultOp::Write);
+    let writes = probe.script().op_count(FaultOp::Write);
 
     let dir = tmp_dir("clean");
     let dest = dir.join("store.blzs");
     for n in 0..writes {
         let vfs = FaultyVfs::os();
-        vfs.fail_nth(FaultOp::Write, n, std::io::ErrorKind::StorageFull);
+        vfs.script()
+            .fail_nth(FaultOp::Write, n, std::io::ErrorKind::StorageFull);
         let err = ingest_through(Arc::new(vfs), &dest).unwrap_err();
         assert!(
             matches!(err, StoreError::Io(_)),
@@ -188,7 +193,8 @@ fn aborted_ingest_leaves_the_directory_clean() {
     }
     // A failing `create` itself also leaves nothing behind.
     let vfs = FaultyVfs::os();
-    vfs.fail_nth(FaultOp::Create, 0, std::io::ErrorKind::PermissionDenied);
+    vfs.script()
+        .fail_nth(FaultOp::Create, 0, std::io::ErrorKind::PermissionDenied);
     assert!(ingest_through(Arc::new(vfs), &dest).is_err());
     assert!(fs::read_dir(&dir).unwrap().next().is_none());
     println!("fault-sweep: {writes} aborted ingests left the directory clean");
@@ -212,17 +218,18 @@ fn transient_read_faults_retry_then_give_up() {
 
     // Two consecutive failures: the default 3-attempt policy absorbs
     // them and the read succeeds.
-    vfs.transient_reads(vfs.op_count(FaultOp::Read), 2);
+    let script = vfs.script();
+    script.transient(FaultOp::Read, script.op_count(FaultOp::Read), 2);
     store.chunk(0).unwrap();
 
     // More failures than the budget: the read gives up with an I/O
     // error (not a panic, not corruption).
-    vfs.transient_reads(vfs.op_count(FaultOp::Read), 16);
+    script.transient(FaultOp::Read, script.op_count(FaultOp::Read), 16);
     match store.chunk(1) {
         Err(StoreError::Io(msg)) => assert!(msg.contains("injected"), "{msg}"),
         other => panic!("expected an I/O give-up, got {other:?}"),
     }
-    vfs.clear();
+    script.clear();
     store.chunk(1).unwrap();
 
     let snap = tel::registry().snapshot();
@@ -250,7 +257,8 @@ fn mmap_failure_falls_back_to_positional_reads() {
     let _serial = tel_lock();
     tel::set_mode(tel::Mode::Counters);
     let vfs = FaultyVfs::os();
-    vfs.fail_nth(FaultOp::Mmap, 0, std::io::ErrorKind::OutOfMemory);
+    vfs.script()
+        .fail_nth(FaultOp::Mmap, 0, std::io::ErrorKind::OutOfMemory);
     let store = Store::open_with(&vfs, &dest).unwrap();
     assert!(store.mmap_fell_back());
     assert_eq!(store.backing_kind(), "file");

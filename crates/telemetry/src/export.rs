@@ -162,11 +162,33 @@ impl Snapshot {
     }
 }
 
-/// Escapes the two JSON-significant characters metric names could in
-/// principle contain (names are `'static` identifiers, so this is
-/// defense in depth, not a full escaper).
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes a string for embedding in a JSON string literal — the
+/// workspace's one JSON escaper.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A finite float as JSON (`null` for NaN/infinity, which JSON cannot
+/// represent). Rust's `{}` float formatting round-trips, so the value
+/// survives serialization bit-exactly.
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
 }
 
 /// Maps a dotted metric name onto the Prometheus charset.
@@ -231,5 +253,13 @@ pub(crate) mod tests {
         assert_eq!(empty.counter("test.export.requests"), Some(0));
         assert!(empty.histogram("test.export.latency").is_none());
         set_mode(Mode::Off);
+    }
+
+    #[test]
+    fn escape_json_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(
+            crate::escape_json("a\\b\"c\nd\u{1}é"),
+            "a\\\\b\\\"c\\nd\\u0001é"
+        );
     }
 }

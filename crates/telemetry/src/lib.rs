@@ -57,7 +57,7 @@ mod export;
 mod metrics;
 mod span;
 
-pub use export::{HistogramSnapshot, Snapshot};
+pub use export::{escape_json, json_f64, HistogramSnapshot, Snapshot};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use span::{current_span, span_depth, Span, Stopwatch};
 

@@ -12,7 +12,7 @@ use blazr_precision::Real;
 /// A reusable separable transform for one block shape.
 ///
 /// Construction builds (and rounds into `P`) one basis matrix per axis and
-/// compiles each into a pair of [`AxisKernel`] plans — output-major weight
+/// compiles each into a pair of `AxisKernel` plans — output-major weight
 /// layouts plus nonzero-index lists for sparse bases — so the per-block
 /// hot path is pure slice arithmetic with no index math or weight-zero
 /// branches. [`BlockTransform::forward`] and [`BlockTransform::inverse`]

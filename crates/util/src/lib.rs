@@ -17,9 +17,12 @@
 //! * [`mmap`] — a `libc`-free read-only memory map used by the store's
 //!   zero-copy read path (the crate's one `unsafe` island; everything
 //!   else stays `deny(unsafe_code)`).
+//! * [`fault`] — the one deterministic, op-indexed fault script
+//!   ([`fault::Script`]) behind every fault-injecting seam: storage's
+//!   [`vfs::FaultyVfs`] and the serve crate's `FaultyTransport`.
 //! * [`vfs`] — the filesystem seam the store's I/O goes through, with a
-//!   deterministic fault-injection wrapper ([`vfs::FaultyVfs`]) for
-//!   torn-write, bit-rot, and transient-error testing.
+//!   fault-injection adapter ([`vfs::FaultyVfs`]) for torn-write,
+//!   bit-rot, and transient-error testing.
 //! * [`retry`] — the one transient-vs-permanent I/O error classification
 //!   and bounded-backoff [`retry::RetryPolicy`] shared by the store's
 //!   read path and the serve crate's transport path.
@@ -28,6 +31,7 @@
 
 pub mod bits;
 pub mod csv;
+pub mod fault;
 pub mod huffman;
 pub mod mmap;
 pub mod negabinary;

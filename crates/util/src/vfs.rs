@@ -6,26 +6,24 @@
 //! fsync, rename, unlink, directory sync, and (optionally) memory-map.
 //! [`Vfs`]/[`VfsFile`] name exactly that set, [`OsVfs`] implements it on
 //! `std::fs`, and [`FaultyVfs`] wraps any implementation with a
-//! **scriptable fault plan**: fail the Nth write with ENOSPC, tear a
-//! write after k bytes, short-read, return EINTR-style transient errors
-//! that succeed on retry, flip bits in the bytes a reader sees, or
-//! refuse a memory map. Every fault is deterministic — a plan is a list
-//! of [`FaultRule`]s keyed by per-operation indices, so a test can sweep
-//! "kill the ingest at every write boundary" exhaustively, and seeded
-//! helpers ([`seeded_bit_rot`]) derive reproducible corruption patterns
-//! from a [`crate::rng`] seed.
+//! [`crate::fault::Script`] over the [`FaultOp`] classes: fail the Nth
+//! write with ENOSPC, tear a write after k bytes, short-read, return
+//! EINTR-style transient errors that succeed on retry, stall, or refuse
+//! a memory map. On top of the script, storage alone can flip bits in
+//! the bytes a reader sees; seeded helpers ([`seeded_bit_rot`]) derive
+//! reproducible corruption patterns from a [`crate::rng`] seed.
 //!
 //! Faults are injected **between** the caller and the real filesystem:
 //! a torn write really does persist its prefix, so crash-consistency
 //! tests observe the same directory states a power cut would leave.
 
+use crate::fault::{Fault, Op, Script};
 use crate::mmap::Mmap;
 use crate::rng::Xoshiro256pp;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One open file behind the [`Vfs`] seam.
@@ -137,8 +135,8 @@ impl Vfs for OsVfs {
 // ---------------------------------------------------------------------------
 // Fault injection.
 
-/// The operation classes a [`FaultRule`] can target. Each class keeps
-/// its own monotonically increasing index across the whole
+/// The storage operation classes a [`Rule`](crate::fault::Rule) can
+/// target. Each class keeps its own index across the whole
 /// [`FaultyVfs`], so "the Nth write" is well-defined regardless of which
 /// file performs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,116 +161,30 @@ pub enum FaultOp {
     Mmap,
 }
 
-const N_OPS: usize = 9;
-
-impl FaultOp {
+impl Op for FaultOp {
     fn index(self) -> usize {
-        match self {
-            FaultOp::Create => 0,
-            FaultOp::Open => 1,
-            FaultOp::Read => 2,
-            FaultOp::Write => 3,
-            FaultOp::Sync => 4,
-            FaultOp::Rename => 5,
-            FaultOp::Remove => 6,
-            FaultOp::SyncDir => 7,
-            FaultOp::Mmap => 8,
-        }
-    }
-}
-
-/// What happens when a rule fires.
-#[derive(Debug, Clone)]
-pub enum FaultKind {
-    /// Fail outright with this error kind (e.g. `StorageFull` for
-    /// ENOSPC, `Other` for EIO). Fires once.
-    Fail(io::ErrorKind),
-    /// EINTR-style transient failure: the operation fails `failures`
-    /// consecutive times with `kind`, then succeeds — the shape a
-    /// bounded-retry reader must survive.
-    Transient {
-        /// How many consecutive attempts fail before success.
-        failures: u32,
-        /// The error kind each failing attempt reports.
-        kind: io::ErrorKind,
-    },
-    /// Torn write: only the first `keep` bytes of the buffer reach the
-    /// inner file, then the write reports an I/O error — the on-disk
-    /// state a power cut mid-write leaves. Fires once.
-    TornWrite {
-        /// Bytes of the buffer that persist before the failure.
-        keep: usize,
-    },
-    /// Short read: only the first `keep` bytes are filled, then the
-    /// read reports `UnexpectedEof`. Fires once.
-    ShortRead {
-        /// Bytes delivered before the premature EOF.
-        keep: usize,
-    },
-}
-
-/// One scripted fault: when the `nth` operation of class `op` (0-based,
-/// counted across the whole [`FaultyVfs`]) arrives, `kind` happens.
-#[derive(Debug, Clone)]
-pub struct FaultRule {
-    /// Which operation class this rule watches.
-    pub op: FaultOp,
-    /// The 0-based operation index at which the rule arms.
-    pub nth: u64,
-    /// The injected behavior.
-    pub kind: FaultKind,
-}
-
-/// A rule plus its remaining-fire budget ([`FaultKind::Transient`] fires
-/// multiple times; everything else once).
-#[derive(Debug)]
-struct Armed {
-    rule: FaultRule,
-    remaining: u32,
-}
-
-#[derive(Debug, Default)]
-struct FaultState {
-    rules: Mutex<Vec<Armed>>,
-    /// Absolute-file-offset byte corruptions applied to every read that
-    /// covers them (models bit rot under a live reader).
-    flips: Mutex<Vec<(u64, u8)>>,
-    counts: [AtomicU64; N_OPS],
-}
-
-impl FaultState {
-    /// Claims the next index for `op` and returns the fault to inject,
-    /// if a rule fires at it.
-    fn tick(&self, op: FaultOp) -> Option<FaultKind> {
-        let idx = self.counts[op.index()].fetch_add(1, Ordering::Relaxed);
-        let mut rules = self.rules.lock().expect("fault rules poisoned");
-        for armed in rules.iter_mut() {
-            if armed.rule.op == op && idx >= armed.rule.nth && armed.remaining > 0 {
-                armed.remaining -= 1;
-                return Some(armed.rule.kind.clone());
-            }
-        }
-        None
-    }
-
-    fn err(kind: io::ErrorKind, what: &str) -> io::Error {
-        io::Error::new(kind, format!("injected fault: {what}"))
+        self as usize
     }
 }
 
 /// A [`Vfs`] wrapper that injects scripted, deterministic storage faults
-/// — see the module docs. Clones share the same fault plan and
-/// operation counters, so a test can keep a handle for assertions while
-/// the code under test owns another.
+/// — see the module docs. Clones share the same [`Script`] and bit
+/// flips, so a test can keep a handle for arming rules while the code
+/// under test owns another.
 ///
-/// Files opened through a `FaultyVfs` never memory-map by default
-/// (`mmap` reports "unsupported" unless a [`FaultOp::Mmap`] rule makes
-/// it fail outright): every read funnels through `read_exact_at`, where
-/// read faults and bit flips apply.
+/// A [`Fault::Tear`] on a write persists its prefix, then fails; on a
+/// read it fills the prefix, then reports `UnexpectedEof` (a short
+/// read). Files opened through a `FaultyVfs` never memory-map (`mmap`
+/// reports "unsupported" unless a [`FaultOp::Mmap`] rule makes it fail
+/// outright): every read funnels through `read_exact_at`, where read
+/// faults and bit flips apply.
 #[derive(Clone)]
 pub struct FaultyVfs {
     inner: Arc<dyn Vfs>,
-    state: Arc<FaultState>,
+    script: Arc<Script<FaultOp>>,
+    /// Absolute-file-offset byte corruptions applied to every read that
+    /// covers them (models bit rot under a live reader).
+    flips: Arc<Mutex<Vec<(u64, u8)>>>,
 }
 
 impl std::fmt::Debug for FaultyVfs {
@@ -282,11 +194,12 @@ impl std::fmt::Debug for FaultyVfs {
 }
 
 impl FaultyVfs {
-    /// Wraps `inner` with an (initially empty) fault plan.
+    /// Wraps `inner` with an (initially empty) fault script.
     pub fn new(inner: impl Vfs + 'static) -> Self {
         Self {
             inner: Arc::new(inner),
-            state: Arc::new(FaultState::default()),
+            script: Arc::default(),
+            flips: Arc::default(),
         }
     }
 
@@ -295,174 +208,78 @@ impl FaultyVfs {
         Self::new(OsVfs)
     }
 
-    /// Wraps `inner` with a pre-scripted plan.
-    pub fn scripted(inner: impl Vfs + 'static, plan: Vec<FaultRule>) -> Self {
-        let vfs = Self::new(inner);
-        for rule in plan {
-            vfs.arm(rule);
-        }
-        vfs
-    }
-
-    /// Adds a rule to the plan.
-    pub fn arm(&self, rule: FaultRule) {
-        let remaining = match rule.kind {
-            FaultKind::Transient { failures, .. } => failures,
-            _ => 1,
-        };
-        self.state
-            .rules
-            .lock()
-            .expect("fault rules poisoned")
-            .push(Armed { rule, remaining });
-    }
-
-    /// Fails the `nth` operation of class `op` with `kind`.
-    pub fn fail_nth(&self, op: FaultOp, nth: u64, kind: io::ErrorKind) {
-        self.arm(FaultRule {
-            op,
-            nth,
-            kind: FaultKind::Fail(kind),
-        });
-    }
-
-    /// Makes reads starting at the `nth` fail `failures` times with
-    /// `Interrupted`, then succeed.
-    pub fn transient_reads(&self, nth: u64, failures: u32) {
-        self.arm(FaultRule {
-            op: FaultOp::Read,
-            nth,
-            kind: FaultKind::Transient {
-                failures,
-                kind: io::ErrorKind::Interrupted,
-            },
-        });
-    }
-
-    /// Tears the `nth` write after `keep` bytes.
-    pub fn torn_write(&self, nth: u64, keep: usize) {
-        self.arm(FaultRule {
-            op: FaultOp::Write,
-            nth,
-            kind: FaultKind::TornWrite { keep },
-        });
-    }
-
-    /// Short-reads the `nth` read after `keep` bytes.
-    pub fn short_read(&self, nth: u64, keep: usize) {
-        self.arm(FaultRule {
-            op: FaultOp::Read,
-            nth,
-            kind: FaultKind::ShortRead { keep },
-        });
+    /// The fault script every operation consults.
+    pub fn script(&self) -> &Script<FaultOp> {
+        &self.script
     }
 
     /// XORs `mask` into the byte at absolute file offset `offset` of
     /// every positional read that covers it (bit rot as seen by the
     /// reader; the file itself is untouched).
     pub fn flip_byte(&self, offset: u64, mask: u8) {
-        self.state
-            .flips
+        self.flips
             .lock()
             .expect("fault flips poisoned")
             .push((offset, mask));
     }
 
-    /// Drops all rules and flips (operation counters keep running).
-    pub fn clear(&self) {
-        self.state
-            .rules
-            .lock()
-            .expect("fault rules poisoned")
-            .clear();
-        self.state
-            .flips
-            .lock()
-            .expect("fault flips poisoned")
-            .clear();
-    }
-
-    /// How many operations of class `op` have been issued so far — the
-    /// handle a crash-point sweep uses to enumerate every boundary.
-    pub fn op_count(&self, op: FaultOp) -> u64 {
-        self.state.counts[op.index()].load(Ordering::Relaxed)
-    }
-
-    fn guard(&self, op: FaultOp, what: &str) -> io::Result<()> {
-        match self.state.tick(op) {
-            None => Ok(()),
-            Some(FaultKind::Fail(kind)) | Some(FaultKind::Transient { kind, .. }) => {
-                Err(FaultState::err(kind, what))
-            }
-            // Torn/short kinds degenerate to hard failures on operations
-            // that carry no buffer to tear.
-            Some(FaultKind::TornWrite { .. }) | Some(FaultKind::ShortRead { .. }) => {
-                Err(FaultState::err(io::ErrorKind::Other, what))
-            }
-        }
+    fn file(&self, inner: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
+        Box::new(FaultyFile {
+            inner,
+            script: Arc::clone(&self.script),
+            flips: Arc::clone(&self.flips),
+        })
     }
 }
 
 impl Vfs for FaultyVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.guard(FaultOp::Create, "create")?;
-        let inner = self.inner.create(path)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            state: Arc::clone(&self.state),
-        }))
+        self.script.guard(FaultOp::Create, "create")?;
+        Ok(self.file(self.inner.create(path)?))
     }
 
     fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.guard(FaultOp::Open, "open")?;
-        let inner = self.inner.open(path)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            state: Arc::clone(&self.state),
-        }))
+        self.script.guard(FaultOp::Open, "open")?;
+        Ok(self.file(self.inner.open(path)?))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.guard(FaultOp::Rename, "rename")?;
+        self.script.guard(FaultOp::Rename, "rename")?;
         self.inner.rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.guard(FaultOp::Remove, "remove")?;
+        self.script.guard(FaultOp::Remove, "remove")?;
         self.inner.remove_file(path)
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        self.guard(FaultOp::SyncDir, "sync_dir")?;
+        self.script.guard(FaultOp::SyncDir, "sync_dir")?;
         self.inner.sync_dir(path)
     }
 }
 
-/// A file whose operations consult the shared fault plan.
+/// A file whose operations consult the shared fault script.
 #[derive(Debug)]
 struct FaultyFile {
     inner: Box<dyn VfsFile>,
-    state: Arc<FaultState>,
+    script: Arc<Script<FaultOp>>,
+    flips: Arc<Mutex<Vec<(u64, u8)>>>,
 }
 
 impl VfsFile for FaultyFile {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        match self.state.tick(FaultOp::Read) {
+        match self.script.tick(FaultOp::Read) {
             None => {}
-            Some(FaultKind::Fail(kind)) | Some(FaultKind::Transient { kind, .. }) => {
-                return Err(FaultState::err(kind, "read"));
-            }
-            Some(FaultKind::ShortRead { keep }) => {
+            Some(Fault::Tear { keep }) => {
                 let keep = keep.min(buf.len());
                 self.inner.read_exact_at(&mut buf[..keep], offset)?;
-                return Err(FaultState::err(io::ErrorKind::UnexpectedEof, "short read"));
+                return Err(Fault::Fail(io::ErrorKind::UnexpectedEof).into_error("short read"));
             }
-            Some(FaultKind::TornWrite { .. }) => {
-                return Err(FaultState::err(io::ErrorKind::Other, "read"));
-            }
+            Some(fault) => return Err(fault.into_error("read")),
         }
         self.inner.read_exact_at(buf, offset)?;
-        let flips = self.state.flips.lock().expect("fault flips poisoned");
+        let flips = self.flips.lock().expect("fault flips poisoned");
         for &(at, mask) in flips.iter() {
             if at >= offset {
                 if let Ok(i) = usize::try_from(at - offset) {
@@ -476,31 +293,19 @@ impl VfsFile for FaultyFile {
     }
 
     fn append_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self.state.tick(FaultOp::Write) {
-            None => {}
-            Some(FaultKind::Fail(kind)) | Some(FaultKind::Transient { kind, .. }) => {
-                return Err(FaultState::err(kind, "write"));
+        match self.script.tick(FaultOp::Write) {
+            None => self.inner.append_all(buf),
+            Some(Fault::Tear { keep }) => {
+                self.inner.append_all(&buf[..keep.min(buf.len())])?;
+                Err(Fault::Fail(io::ErrorKind::Other).into_error("torn write"))
             }
-            Some(FaultKind::TornWrite { keep }) => {
-                let keep = keep.min(buf.len());
-                self.inner.append_all(&buf[..keep])?;
-                return Err(FaultState::err(io::ErrorKind::Other, "torn write"));
-            }
-            Some(FaultKind::ShortRead { .. }) => {
-                return Err(FaultState::err(io::ErrorKind::Other, "write"));
-            }
+            Some(fault) => Err(fault.into_error("write")),
         }
-        self.inner.append_all(buf)
     }
 
     fn sync_all(&self) -> io::Result<()> {
-        match self.state.tick(FaultOp::Sync) {
-            None => self.inner.sync_all(),
-            Some(FaultKind::Fail(kind)) | Some(FaultKind::Transient { kind, .. }) => {
-                Err(FaultState::err(kind, "sync"))
-            }
-            Some(_) => Err(FaultState::err(io::ErrorKind::Other, "sync")),
-        }
+        self.script.guard(FaultOp::Sync, "sync")?;
+        self.inner.sync_all()
     }
 
     fn len(&self) -> io::Result<u64> {
@@ -508,15 +313,10 @@ impl VfsFile for FaultyFile {
     }
 
     fn mmap(&self) -> io::Result<Option<Mmap>> {
-        match self.state.tick(FaultOp::Mmap) {
-            // No rule: report "unsupported" so every subsequent read goes
-            // through the faultable positional path.
-            None => Ok(None),
-            Some(FaultKind::Fail(kind)) | Some(FaultKind::Transient { kind, .. }) => {
-                Err(FaultState::err(kind, "mmap"))
-            }
-            Some(_) => Err(FaultState::err(io::ErrorKind::Other, "mmap")),
-        }
+        // No rule: report "unsupported" so every subsequent read goes
+        // through the faultable positional path.
+        self.script.guard(FaultOp::Mmap, "mmap")?;
+        Ok(None)
     }
 }
 
@@ -576,7 +376,8 @@ mod tests {
     #[test]
     fn nth_write_fails_and_prefix_persists() {
         let vfs = FaultyVfs::os();
-        vfs.fail_nth(FaultOp::Write, 2, io::ErrorKind::StorageFull);
+        vfs.script()
+            .fail_nth(FaultOp::Write, 2, io::ErrorKind::StorageFull);
         let p = tmp("enospc.bin");
         let mut f = vfs.create(&p).unwrap();
         f.append_all(b"one").unwrap();
@@ -585,13 +386,13 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         drop(f);
         assert_eq!(std::fs::read(&p).unwrap(), b"onetwo");
-        assert_eq!(vfs.op_count(FaultOp::Write), 3);
+        assert_eq!(vfs.script().op_count(FaultOp::Write), 3);
     }
 
     #[test]
     fn torn_write_persists_exactly_keep_bytes() {
         let vfs = FaultyVfs::os();
-        vfs.torn_write(1, 2);
+        vfs.script().tear(FaultOp::Write, 1, 2);
         let p = tmp("torn.bin");
         let mut f = vfs.create(&p).unwrap();
         f.append_all(b"head").unwrap();
@@ -607,7 +408,7 @@ mod tests {
         let vfs = FaultyVfs::os();
         let p = tmp("transient.bin");
         std::fs::write(&p, b"0123456789").unwrap();
-        vfs.transient_reads(0, 2);
+        vfs.script().transient(FaultOp::Read, 0, 2);
         let f = vfs.open(&p).unwrap();
         let mut buf = [0u8; 4];
         assert_eq!(
@@ -627,7 +428,7 @@ mod tests {
         let vfs = FaultyVfs::os();
         let p = tmp("short.bin");
         std::fs::write(&p, b"abcdef").unwrap();
-        vfs.short_read(0, 3);
+        vfs.script().tear(FaultOp::Read, 0, 3);
         let f = vfs.open(&p).unwrap();
         let mut buf = [0u8; 6];
         let err = f.read_exact_at(&mut buf, 0).unwrap_err();
@@ -660,7 +461,8 @@ mod tests {
         std::fs::write(&p, b"bytes").unwrap();
         let f = vfs.open(&p).unwrap();
         assert!(f.mmap().unwrap().is_none());
-        vfs.fail_nth(FaultOp::Mmap, 1, io::ErrorKind::Other);
+        vfs.script()
+            .fail_nth(FaultOp::Mmap, 1, io::ErrorKind::Other);
         assert!(f.mmap().is_err());
     }
 

@@ -421,7 +421,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Inclusive-lower, exclusive-upper length range for [`vec`].
+    /// Inclusive-lower, exclusive-upper length range for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

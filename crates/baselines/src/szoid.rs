@@ -28,7 +28,7 @@ pub struct Szoid {
     pub error_bound: f64,
 }
 
-/// Compression result with accounting the benches report.
+/// Compression result with its size and outlier accounting.
 #[derive(Debug, Clone)]
 pub struct SzoidStats {
     /// Encoded size in bytes.

@@ -1,10 +1,12 @@
 //! Benchmark-harness support: timing, CSV output locations, and shared
 //! workload construction for the figure-regeneration binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper (see DESIGN.md §3 for the index) and writes a CSV into
+//! Each `table*`/`fig*`/`ratio_examples` binary in `src/bin/` regenerates
+//! the paper table or figure it is named after and writes a CSV into
 //! `results/`. Pass `--quick` to any binary to shrink the sweep for smoke
-//! runs; the Criterion micro-benchmarks live in `benches/`.
+//! runs. `loadgen` load-tests the query server; every other performance
+//! number comes from the ledger in `src/bin/ledger` (a package of its own,
+//! see its README).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

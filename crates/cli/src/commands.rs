@@ -58,8 +58,10 @@ complete, 206 partial (degraded, with the degradation report in the
 body), 429 shed under load (with Retry-After), 503 draining, 504
 deadline exceeded mid-query.
 
-`serve` exposes the store read-only over HTTP/1.1: GET /query (same
-predicates as `store query`, plus mode=strict|degraded and deadline_ms),
+`serve` exposes the store read-only over HTTP/1.1: GET /query (the
+`store query` predicates under the keys from, to, value_lo, value_hi,
+mean_lo, mean_hi and agg, where agg defaults to sum rather than the CLI's
+mean; plus mode=strict|degraded and deadline_ms; other keys are ignored),
 /healthz, /readyz (503 while draining), and /metrics (Prometheus text
 from the telemetry registry). With --max-requests N it drains itself
 after N connections and prints final server stats — handy for smoke
@@ -452,6 +454,9 @@ fn store_query_cmd(argv: &[String]) -> Result<Outcome, String> {
         .ok_or("store query needs a store file")?;
     let q = parse_query(&args)?;
     let degraded = args.has_flag("degraded");
+    if degraded && args.has_flag("full-scan") {
+        return Err("store query: --degraded and --full-scan cannot be combined".into());
+    }
     let Some((store, mut outcome)) = open_tolerant(input, degraded)? else {
         return Ok(Outcome::Corrupt);
     };
@@ -1206,6 +1211,15 @@ mod tests {
             blzs.to_str().unwrap(),
             "--agg",
             "median",
+        ]))
+        .is_err());
+        // A degraded query has no full-scan variant.
+        assert!(run(&sv(&[
+            "store",
+            "query",
+            blzs.to_str().unwrap(),
+            "--degraded",
+            "--full-scan",
         ]))
         .is_err());
     }

@@ -83,7 +83,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// Scalar addition (Algorithm 4): add `x·√(Πi)` to every block's DC
     /// coefficient, then rebin. Requires the DC coefficient to be kept.
     ///
-    /// Deviation from the paper noted in DESIGN.md: Algorithm 4 computes
+    /// Deviation from the paper: Algorithm 4 computes
     /// the new `N` *before* updating the DC coefficient, which can push
     /// indices out of range; we recompute `N` afterwards, matching
     /// Algorithm 2's convention.

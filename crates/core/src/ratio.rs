@@ -5,9 +5,10 @@
 //! (64 bits per dimension), the pruning mask (`Πi` bits), the per-block
 //! biggest coefficients (`f·Π⌈s⊘i⌉` bits), and the bin indices
 //! (`i·(ΣP)·Π⌈s⊘i⌉` bits). Our serializer adds a 4-bit transform tag and
-//! an 8-bit coder tag the paper does not account for (documented in
-//! DESIGN.md); both are included in [`serialized_bits`] and excluded from
-//! [`paper_asymptotic_ratio`].
+//! an 8-bit coder tag the paper does not account for (they name the block
+//! transform and the index-payload coder, which the paper's layout leaves
+//! implicit; see the layout table in `serialize.rs`); both are included
+//! in [`serialized_bits`] and excluded from [`paper_asymptotic_ratio`].
 //!
 //! The **fixed-width** ratio is **independent of the data** — a design
 //! point the paper contrasts with error-bounded compressors like SZ. The

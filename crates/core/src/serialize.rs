@@ -7,7 +7,7 @@
 //! |---|---|
 //! | float type tag | 2 |
 //! | index type tag | 2 |
-//! | transform tag (our extension; see DESIGN.md) | 4 |
+//! | transform tag (our extension: the paper's layout has no such field) | 4 |
 //! | coder tag ([`Coder`]) | 8 |
 //! | each extent of `s` | 64 |
 //! | end-of-shape marker (all ones) | 64 |

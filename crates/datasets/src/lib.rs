@@ -4,7 +4,7 @@
 //! The original datasets are not redistributable (Kaggle LGG MRI, LANL
 //! nuclear-DFT densities) or need a Julia runtime (ShallowWaters.jl), so
 //! each generator synthesizes data with the *properties the experiments
-//! exercise* — see DESIGN.md substitution #3:
+//! exercise*:
 //!
 //! * [`shallow_water`] — a 2-D shallow-water solver, generic over the
 //!   arithmetic precision, for the Fig. 4 FP16-vs-FP32 experiment.

@@ -12,7 +12,8 @@
 //! Arithmetic on the 16-bit types is performed by converting to `f32`,
 //! applying the native operation, and rounding back — exactly correctly
 //! rounded for multiplication, correct to within one double rounding for
-//! addition/division (documented in DESIGN.md), and matching how GPU tensor
+//! addition/division (the f32 result is rounded a second time, to 16
+//! bits), and matching how GPU tensor
 //! libraries evaluate scalar half-precision expressions.
 //!
 //! The [`Real`] trait abstracts over all four formats so the codec, the

@@ -6,7 +6,7 @@
 //! * [`NdArray`] — a dense, row-major, arbitrary-dimensional array with
 //!   element-wise kernels and reductions. Large element-wise operations are
 //!   data-parallel via Rayon (the workspace's stand-in for the paper's GPU
-//!   parallelism — see DESIGN.md substitution #1).
+//!   parallelism; see the README's "Threading" section).
 //! * [`shape`] — index math: strides, multi-index iteration, ceil-division
 //!   of shapes (the paper's `⌈s ⊘ i⌉`).
 //! * [`blocking`] — the paper's blocking step (§III-A(b)): zero-padding to

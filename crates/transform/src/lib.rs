@@ -11,8 +11,7 @@
 //! whose first basis vector is not constant (that would break the paper's
 //! own mean extraction, Algorithm 7). We implement the standard orthonormal
 //! DCT-II the formula clearly intends:
-//! `H[n][k] = √((1+[k>0])/s)·cos(π(2n+1)k/(2s))` (0-indexed); see DESIGN.md
-//! "Paper errata handled".
+//! `H[n][k] = √((1+[k>0])/s)·cos(π(2n+1)k/(2s))` (0-indexed).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

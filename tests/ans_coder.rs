@@ -210,3 +210,63 @@ fn padded_tails_roundtrip_under_rans() {
         assert_eq!(back, c, "shape {shape:?}");
     }
 }
+
+/// The entropy-coding size gate on the dataset fields (f32/i16): the
+/// forced-rANS stream never outgrows its fixed-width fallback — the Auto
+/// path would mask that by picking fixed-width, so the forced bytes are
+/// what is checked — and at least two fields keep a ≥15 % win.
+#[test]
+fn forced_rans_never_loses_to_fixed_width_on_dataset_fields() {
+    use blazr_datasets::fission::{series, FissionConfig};
+    use blazr_datasets::gradient::gradient;
+    use blazr_datasets::mri::MriDataset;
+    use blazr_datasets::shallow_water::{ShallowWater, SwConfig};
+
+    let mut sw = ShallowWater::<f32>::new(SwConfig {
+        nx: 96,
+        ny: 96,
+        ..SwConfig::default()
+    });
+    sw.run(200);
+    let fields: [(&str, NdArray<f64>, Vec<usize>); 4] = [
+        ("gradient", gradient(&[512, 512]), vec![8, 8]),
+        ("shallow_water", sw.surface_height(), vec![8, 8]),
+        (
+            "fission",
+            series(&FissionConfig::default()).swap_remove(0).1,
+            vec![8, 8, 8],
+        ),
+        ("mri", MriDataset::small(3, 1, 48).volume(0), vec![4, 8, 8]),
+    ];
+
+    let mut big_wins = 0;
+    for (field, a, block) in &fields {
+        let c = compress::<f32, i16>(a, &Settings::new(block.clone()).unwrap()).unwrap();
+        let fixed = c.to_bytes_with(Coder::FixedWidth);
+        let rans = c.to_bytes_with(Coder::Rans);
+        assert_eq!(
+            CompressedArray::<f32, i16>::from_bytes(&fixed).unwrap(),
+            CompressedArray::<f32, i16>::from_bytes(&rans).unwrap(),
+            "{field}: coders disagree"
+        );
+        let win = 100.0 * (1.0 - rans.len() as f64 / fixed.len() as f64);
+        println!(
+            "ratio field={field} fixed={} rans={} win={win:.1}%",
+            fixed.len(),
+            rans.len()
+        );
+        assert!(
+            rans.len() <= fixed.len(),
+            "{field}: rans {} > fixed {}",
+            rans.len(),
+            fixed.len()
+        );
+        if win >= 15.0 {
+            big_wins += 1;
+        }
+    }
+    assert!(
+        big_wins >= 2,
+        "only {big_wins} field(s) with a ≥15% entropy-coding win"
+    );
+}

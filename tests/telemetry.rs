@@ -229,6 +229,78 @@ fn store_counters_match_query_results() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The zone-map and lazy-checksum gate on the 16-chunk ramp (chunk `t`
+/// holds `t ± 0.4`, so `ValueInRange{7.8, 8.2}` selects ~1 chunk): pruning
+/// skips at least half the chunks without changing the answer, and over
+/// 1 + 20 pruned and 1 + 20 full-scan queries the lazy checksums never
+/// fail and verify each chunk at most once.
+#[test]
+fn ramp_store_prunes_and_verifies_checksums_lazily() {
+    let _guard = exclusive();
+    const CHUNKS: u64 = 16;
+    const REPS: usize = 20;
+
+    tel::set_mode(tel::Mode::Counters);
+    let path = std::env::temp_dir().join(format!("blazr-ramp-gate-{}.blzs", std::process::id()));
+    let mut w = StoreWriter::create(
+        &path,
+        Settings::new(vec![8, 8]).unwrap(),
+        blazr::ScalarType::F32,
+        blazr::IndexType::I16,
+    )
+    .unwrap();
+    let mut rng = Xoshiro256pp::seed_from_u64(77);
+    for t in 0..CHUNKS {
+        let frame = NdArray::from_fn(vec![64, 64], |_| t as f64 + rng.uniform_in(-0.4, 0.4));
+        w.append(t, &frame).unwrap();
+    }
+    w.finish().unwrap();
+    // Count the query path alone, not the ingest.
+    tel::registry().reset();
+
+    let store = Store::open(&path).unwrap();
+    let selective = Query {
+        from_label: 0,
+        to_label: u64::MAX,
+        predicate: Some(Predicate::ValueInRange { lo: 7.8, hi: 8.2 }),
+        aggregate: Aggregate::Mean,
+    };
+    let pruned = store.query(&selective).unwrap();
+    let scanned = store.query_full_scan(&selective).unwrap();
+    assert_eq!(
+        (pruned.value, &pruned.matched_labels),
+        (scanned.value, &scanned.matched_labels),
+        "pruned and full-scan queries disagree"
+    );
+    assert!(
+        pruned.prune_ratio() >= 0.5,
+        "prune ratio {:.3} < 0.5",
+        pruned.prune_ratio()
+    );
+    assert!(
+        pruned.chunks_pruned >= CHUNKS as usize / 2,
+        "ramp must let zone maps prune most chunks"
+    );
+    for _ in 0..REPS {
+        std::hint::black_box(store.query(&selective).unwrap());
+    }
+    for _ in 0..REPS {
+        std::hint::black_box(store.query_full_scan(&selective).unwrap());
+    }
+    tel::set_mode(tel::Mode::Off);
+
+    let snap = tel::registry().snapshot();
+    let verified = snap.counter("store.checksum.verified").unwrap_or(0);
+    assert_eq!(snap.counter("store.checksum.failed").unwrap_or(0), 0);
+    assert!(
+        verified <= CHUNKS,
+        "{verified} checksum verifications > {CHUNKS} chunks: the lazy latch broke"
+    );
+
+    drop(store);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Snapshot export round-trips the recorded names into both formats.
 #[test]
 fn snapshot_exports_contain_recorded_metrics() {

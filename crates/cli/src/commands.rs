@@ -797,7 +797,7 @@ fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     println!("file           : {input}");
-    println!("format         : {:?}", store.format_version());
+    println!("format         : {}", blazr_store::format::FORMAT_NAME);
     println!("backing        : {}", store.backing_kind());
     if store.mmap_fell_back() {
         println!("note           : mmap failed at open; using positional reads");
@@ -860,8 +860,8 @@ fn store_stat_json(input: &str, store: &blazr_store::Store) -> Result<String, St
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"file\": \"{}\",\n", escape_json(input)));
     out.push_str(&format!(
-        "  \"format\": \"{:?}\",\n",
-        store.format_version()
+        "  \"format\": \"{}\",\n",
+        blazr_store::format::FORMAT_NAME
     ));
     out.push_str(&format!("  \"backing\": \"{}\",\n", store.backing_kind()));
     out.push_str(&format!(
@@ -1211,6 +1211,17 @@ mod tests {
             blzs.to_str().unwrap(),
             "--agg",
             "median",
+        ]))
+        .is_err());
+        // Inverted predicate bounds rejected.
+        assert!(run(&sv(&[
+            "store",
+            "query",
+            blzs.to_str().unwrap(),
+            "--min",
+            "5",
+            "--max",
+            "1",
         ]))
         .is_err());
         // A degraded query has no full-scan variant.

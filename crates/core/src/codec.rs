@@ -4,7 +4,7 @@ use crate::report::CompressionReport;
 use crate::{BinIndex, BlazError, CompressedArray, Settings};
 use blazr_precision::Real;
 use blazr_telemetry as tel;
-use blazr_tensor::blocking::{gather_block, Blocked};
+use blazr_tensor::blocking::gather_block;
 use blazr_tensor::shape::{ceil_div, num_elements};
 use blazr_tensor::NdArray;
 use blazr_transform::BlockTransform;
@@ -60,15 +60,9 @@ fn compress_impl<P: Real, I: BinIndex>(
     let mut sw = tel::Stopwatch::start();
     let converted: NdArray<P> = input.convert();
     sw.lap(tel::histogram!("codec.compress.convert"));
-    if !want_report {
-        let compressed = compress_fused(&converted, input.shape().to_vec(), settings)?;
-        return Ok((compressed, None));
-    }
-    // The report needs the exact transform coefficients of every block, so
-    // it takes the staged path that materializes them.
-    let (compressed, blocked) = compress_converted(&converted, input.shape().to_vec(), settings)?;
-    let report = build_report(input, &converted, &blocked, &compressed);
-    Ok((compressed, Some(report)))
+    let compressed = compress_fused(&converted, input.shape().to_vec(), settings)?;
+    let report = want_report.then(|| build_report(input, &converted, &compressed));
+    Ok((compressed, report))
 }
 
 /// Steps (b)–(e) fused into one pass over blocks: gather each block into
@@ -77,10 +71,10 @@ fn compress_impl<P: Real, I: BinIndex>(
 /// coefficient buffer is ever materialized.
 ///
 /// Per-block work is independent and writes disjoint output slices, and
-/// every block's arithmetic matches the staged path
-/// ([`Blocked::partition`] → forward → bin) operation for operation, so
-/// the result is bit-identical to it at any thread count
-/// (`tests/fused_pipeline.rs` locks this in).
+/// every block's arithmetic matches the staged formula (partition →
+/// forward → bin) operation for operation, so the result is
+/// bit-identical to it at any thread count (`tests/fused_pipeline.rs`
+/// keeps the staged formula as its oracle).
 fn compress_fused<P: Real, I: BinIndex>(
     converted: &NdArray<P>,
     shape: Vec<usize>,
@@ -134,11 +128,10 @@ fn compress_fused<P: Real, I: BinIndex>(
 }
 
 /// Steps (d)+(e) for one transformed block: computes `N = ‖C‖∞` and bins
-/// the kept coefficients into `idx_out`. Shared by the fused and staged
-/// compress paths so both emit identical bits.
+/// the kept coefficients into `idx_out`.
 ///
 /// `ratios` is caller scratch of at least `block.len()` elements (the
-/// fused path reuses the transform's ping-pong buffer). Splitting the
+/// fused pass reuses the transform's ping-pong buffer). Splitting the
 /// divisions into their own pass over it lets them vectorize — IEEE
 /// division is correctly rounded in both scalar and SIMD form, so the
 /// ratios (and therefore the emitted bins) are unchanged.
@@ -178,69 +171,28 @@ fn bin_block<P: Real, I: BinIndex>(
     n
 }
 
-/// Steps (b)–(e) on data already in precision `P`, staged through a full
-/// coefficient buffer, which it returns alongside the compressed array
-/// (the error report needs the exact coefficients). The hot no-report path
-/// is [`compress_fused`]; this produces bit-identical output.
-fn compress_converted<P: Real, I: BinIndex>(
-    converted: &NdArray<P>,
-    shape: Vec<usize>,
-    settings: &Settings,
-) -> Result<(CompressedArray<P, I>, Blocked<P>), BlazError> {
-    settings.validate_for_ndim(converted.ndim())?;
-
-    // Step (b): blocking with zero padding.
-    let mut blocked = Blocked::partition(converted, &settings.block_shape);
-
-    // Step (c): orthonormal transform, per block, in `P` arithmetic.
-    let bt = BlockTransform::<P>::new(settings.transform, &settings.block_shape);
-    let block_len = bt.block_len().max(1);
-    blocked.par_blocks_mut().for_each_init(
-        || vec![P::zero(); block_len],
-        |scratch, block| bt.forward(block, scratch),
-    );
-
-    // Steps (d)+(e): binning and pruning.
-    let kept = settings.mask.kept_positions();
-    let k = kept.len();
-    let n_blocks = blocked.block_count();
-    let mut biggest = vec![P::zero(); n_blocks];
-    let mut indices = vec![I::from_i64(0); n_blocks * k];
-
-    let blocked_ref = &blocked;
-    biggest
-        .par_iter_mut()
-        .zip(indices.par_chunks_mut(k))
-        .enumerate()
-        .for_each_init(
-            || vec![P::zero(); block_len],
-            |ratios, (kb, (n_out, idx_out))| {
-                *n_out = bin_block::<P, I>(blocked_ref.block(kb), kept, idx_out, ratios);
-            },
-        );
-
-    let compressed = CompressedArray {
-        shape,
-        settings: settings.clone(),
-        biggest,
-        indices,
-    };
-    Ok((compressed, blocked))
-}
-
 /// Measures actual coefficient errors (binning + pruning) and evaluates
-/// the §IV-D bounds, given the exact coefficients produced during
-/// compression.
+/// the §IV-D bounds. Each block's exact coefficients are rebuilt in
+/// per-thread scratch by the same gather and forward transform the fused
+/// pass ran, so they are bit-identical to the ones it binned.
 fn build_report<P: Real, I: BinIndex>(
     input: &NdArray<f64>,
     converted: &NdArray<P>,
-    coefficients: &Blocked<P>,
     compressed: &CompressedArray<P, I>,
 ) -> CompressionReport {
-    let mask = &compressed.settings.mask;
-    let block_len = compressed.settings.block_len();
+    let settings = &compressed.settings;
+    let mask = &settings.mask;
+    let block_len = settings.block_len();
     let n_blocks = compressed.block_count();
     let r = I::radius_f64();
+    let bt = BlockTransform::<P>::new(settings.transform, &settings.block_shape);
+    let scratch_len = bt.block_len().max(1);
+    let num_blocks = ceil_div(&compressed.shape, &settings.block_shape);
+    let (src, s, bs) = (
+        converted.as_slice(),
+        converted.shape(),
+        &settings.block_shape,
+    );
 
     let mut per_block_l2 = vec![0.0f64; n_blocks];
     let mut per_block_linf = vec![0.0f64; n_blocks];
@@ -257,40 +209,44 @@ fn build_report<P: Real, I: BinIndex>(
         .zip(loose_linf_bound.par_iter_mut())
         .zip(abs_bound.par_iter_mut())
         .enumerate()
-        .for_each(|(kb, (((((l2, linf), bb), pbb), loose), ab))| {
-            let block = coefficients.block(kb);
-            let n = compressed.biggest[kb].to_f64();
-            let mut sum_sq = 0.0f64;
-            let mut max_abs = 0.0f64;
-            let mut sum_abs = 0.0f64;
-            let mut slot = 0usize;
-            for (pos, &c) in block.iter().enumerate() {
-                let c = c.to_f64();
-                let reconstructed = if mask.is_kept(pos) {
-                    let v = compressed.coeff(kb, slot).to_f64();
-                    slot += 1;
-                    v
-                } else {
-                    0.0
-                };
-                let e = (c - reconstructed).abs();
-                sum_sq += e * e;
-                max_abs = max_abs.max(e);
-                sum_abs += e;
-            }
-            *l2 = sum_sq.sqrt();
-            *linf = max_abs;
-            // §IV-D bounds. Our binning convention (round(r·c/N)) gives a
-            // half-step of N/(2r); the paper's 2r+1-bin statement is
-            // N/(2r+1). Both are reported.
-            *bb = n / (2.0 * r);
-            *pbb = n / (2.0 * r + 1.0);
-            *loose = n.abs() * block_len as f64;
-            // Sum of per-coefficient error magnitudes: a valid (tighter
-            // than the paper's loose) L∞ bound on any decompressed element
-            // since basis entries have magnitude ≤ 1.
-            *ab = sum_abs;
-        });
+        .for_each_init(
+            || (vec![P::zero(); scratch_len], vec![P::zero(); scratch_len]),
+            |(block, scratch), (kb, (((((l2, linf), bb), pbb), loose), ab))| {
+                gather_block(src, s, &num_blocks, bs, kb, block);
+                bt.forward(block, scratch);
+                let n = compressed.biggest[kb].to_f64();
+                let mut sum_sq = 0.0f64;
+                let mut max_abs = 0.0f64;
+                let mut sum_abs = 0.0f64;
+                let mut slot = 0usize;
+                for (pos, &c) in block.iter().enumerate() {
+                    let c = c.to_f64();
+                    let reconstructed = if mask.is_kept(pos) {
+                        let v = compressed.coeff(kb, slot).to_f64();
+                        slot += 1;
+                        v
+                    } else {
+                        0.0
+                    };
+                    let e = (c - reconstructed).abs();
+                    sum_sq += e * e;
+                    max_abs = max_abs.max(e);
+                    sum_abs += e;
+                }
+                *l2 = sum_sq.sqrt();
+                *linf = max_abs;
+                // §IV-D bounds. Our binning convention (round(r·c/N)) gives a
+                // half-step of N/(2r); the paper's 2r+1-bin statement is
+                // N/(2r+1). Both are reported.
+                *bb = n / (2.0 * r);
+                *pbb = n / (2.0 * r + 1.0);
+                *loose = n.abs() * block_len as f64;
+                // Sum of per-coefficient error magnitudes: a valid (tighter
+                // than the paper's loose) L∞ bound on any decompressed element
+                // since basis entries have magnitude ≤ 1.
+                *ab = sum_abs;
+            },
+        );
 
     let total_l2 = per_block_l2.iter().map(|e| e * e).sum::<f64>().sqrt();
 

@@ -23,8 +23,7 @@
 //! Entropy coding is lossless, so every §IV-D error bound carries over
 //! verbatim; only the serialized byte count changes. The fixed-width
 //! layout survives as the fallback for near-uniform histograms (where a
-//! table cannot win), as the ablation baseline, and as the v1
-//! compatibility path.
+//! table cannot win) and as the ablation baseline.
 
 pub mod ans;
 pub mod batch_decode;
@@ -46,7 +45,7 @@ impl Coder {
     /// All variants in serialization-tag order.
     pub const ALL: [Coder; 2] = [Coder::FixedWidth, Coder::Rans];
 
-    /// 8-bit serialization tag (one byte of the v2 stream prologue).
+    /// 8-bit serialization tag (one byte of the stream prologue).
     pub fn tag(self) -> u8 {
         match self {
             Coder::FixedWidth => 0,

@@ -38,36 +38,7 @@ macro_rules! dyn_compressed {
             }
         }
 
-        /// Deserializes a v2 stream whose float/index types are read from
-        /// its leading type tags (paper §IV-C's 4-bit type nibble).
-        pub fn from_bytes_dyn(bytes: &[u8]) -> Result<DynCompressed, BlazError> {
-            let (ft, it) = crate::serialize::peek_types(bytes)
-                .ok_or_else(|| BlazError::Deserialize("empty stream or bad type tags".into()))?;
-            match (ft, it) {
-                $(
-                    (ScalarType::$stag, crate::IndexType::$itag) => {
-                        CompressedArray::<$p, $i>::from_bytes(bytes).map(DynCompressed::$variant)
-                    }
-                )+
-            }
-        }
-
-        /// Deserializes a legacy v1 stream (no coder tag; what store
-        /// format v1 chunks hold).
-        pub fn from_bytes_dyn_v1(bytes: &[u8]) -> Result<DynCompressed, BlazError> {
-            let (ft, it) = crate::serialize::peek_types(bytes)
-                .ok_or_else(|| BlazError::Deserialize("empty stream or bad type tags".into()))?;
-            match (ft, it) {
-                $(
-                    (ScalarType::$stag, crate::IndexType::$itag) => {
-                        CompressedArray::<$p, $i>::from_bytes_v1(bytes)
-                            .map(DynCompressed::$variant)
-                    }
-                )+
-            }
-        }
-
-        /// Deserializes a v2 stream into `slot`, reusing the previous
+        /// Deserializes a stream into `slot`, reusing the previous
         /// occupant's buffers when its runtime types match the stream's
         /// (see [`CompressedArray::from_bytes_into`]) — the store's
         /// thread-local-scratch scan path. Only inspect `slot` after
@@ -93,43 +64,16 @@ macro_rules! dyn_compressed {
             }
         }
 
-        /// [`from_bytes_dyn_into`] for legacy v1 streams.
-        pub fn from_bytes_dyn_v1_into(
-            bytes: &[u8],
-            slot: &mut Option<DynCompressed>,
-        ) -> Result<(), BlazError> {
-            let (ft, it) = crate::serialize::peek_types(bytes)
-                .ok_or_else(|| BlazError::Deserialize("empty stream or bad type tags".into()))?;
-            match (ft, it) {
-                $(
-                    (ScalarType::$stag, crate::IndexType::$itag) => {
-                        let mut inner = match slot.take() {
-                            Some(DynCompressed::$variant(c)) => Some(c),
-                            _ => None,
-                        };
-                        let r = CompressedArray::<$p, $i>::from_bytes_v1_into(bytes, &mut inner);
-                        *slot = inner.map(DynCompressed::$variant);
-                        r
-                    }
-                )+
-            }
-        }
-
         impl DynCompressed {
-            /// Serializes using the v2 layout with the automatically
-            /// chosen index coder (see [`crate::serialize`]).
+            /// Serializes with the automatically chosen index coder (see
+            /// [`crate::serialize`]).
             pub fn to_bytes(&self) -> Vec<u8> {
                 match self { $( Self::$variant(c) => c.to_bytes(), )+ }
             }
 
-            /// Serializes using the v2 layout with an explicit index coder.
+            /// Serializes with an explicit index coder.
             pub fn to_bytes_with(&self, coder: crate::Coder) -> Vec<u8> {
                 match self { $( Self::$variant(c) => c.to_bytes_with(coder), )+ }
-            }
-
-            /// Serializes using the legacy v1 layout (no coder tag).
-            pub fn to_bytes_v1(&self) -> Vec<u8> {
-                match self { $( Self::$variant(c) => c.to_bytes_v1(), )+ }
             }
 
             /// The index coder [`DynCompressed::to_bytes`] would pick.
@@ -336,6 +280,14 @@ dyn_compressed! {
     F64I64  => (F64,  I64, f64,  i64),
 }
 
+/// Deserializes a stream whose float/index types are read from its
+/// leading type tags (paper §IV-C's 4-bit type nibble).
+pub fn from_bytes_dyn(bytes: &[u8]) -> Result<DynCompressed, BlazError> {
+    let mut slot = None;
+    from_bytes_dyn_into(bytes, &mut slot)?;
+    Ok(slot.expect("from_bytes_dyn_into fills the slot on success"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,11 +369,6 @@ mod tests {
                 assert_eq!(got.float_type(), ft);
                 assert_eq!(got.index_type(), it);
                 assert_eq!(got.decompress().as_slice(), c.decompress().as_slice());
-                from_bytes_dyn_v1_into(&c.to_bytes_v1(), &mut slot).unwrap();
-                assert_eq!(
-                    slot.as_ref().unwrap().decompress().as_slice(),
-                    c.decompress().as_slice()
-                );
             }
         }
         assert!(from_bytes_dyn_into(&[], &mut slot).is_err());

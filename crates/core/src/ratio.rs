@@ -20,8 +20,8 @@
 use blazr_tensor::shape::{ceil_div, num_elements};
 
 /// Exact size in bits of the serialized compressed form produced by
-/// [`crate::serialize`] under the fixed-width coder (v2 stream layout,
-/// including the coder tag).
+/// [`crate::serialize`] under the fixed-width coder (including the coder
+/// tag).
 pub fn serialized_bits(
     shape: &[usize],
     block_shape: &[usize],

@@ -1,7 +1,7 @@
 //! Bit-exact serialization of the compressed form (paper §IV-C, grown an
 //! entropy-coded index payload).
 //!
-//! v2 layout, in order:
+//! Layout, in order:
 //!
 //! | field | bits |
 //! |---|---|
@@ -35,14 +35,6 @@
 //! bit-identical at any thread count. Entropy coding is lossless: the
 //! decoded [`CompressedArray`] is equal under either coder, and every
 //! §IV-D error bound is untouched.
-//!
-//! The v1 (pre-coder-tag) stream — the byte layout store format v1
-//! chunks use — omits the 8-bit coder tag and always stores fixed-width
-//! indices. [`CompressedArray::from_bytes_v1`] and
-//! [`CompressedArray::to_bytes_v1`] keep that layout readable and
-//! writable; the two layouts are not self-distinguishing (the v1 stream
-//! has no version field), so the container (store header, caller) picks
-//! the parser.
 
 use crate::coder::histogram::{Histogram, SymbolTable, MAX_TABLE_SYMS, SCALE_BITS};
 use crate::coder::{ans, batch_decode, Coder};
@@ -87,24 +79,11 @@ std::thread_local! {
     };
 }
 
-/// Which prologue layout a stream uses. v1 is the PR-5 layout without a
-/// coder tag; v2 adds the 8-bit coder tag and coder-specific index
-/// payloads. The stream does not carry this itself — the container does
-/// (the store's header magic, or the caller's knowledge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamVersion {
-    /// PR-5 layout: no coder tag, fixed-width indices.
-    V1,
-    /// Coder-tagged layout with entropy-coded payloads.
-    V2,
-}
-
 /// Reads the leading float/index type tags of a §IV-C stream without
 /// decoding it (`None` for an empty stream or invalid tags). This is the
 /// single owner of the prologue's bit positions — callers that need to
 /// sniff a stream's types (dynamic dispatch, store diagnostics) go
-/// through here rather than re-deriving the layout. Both stream versions
-/// share byte 0, so this works on either.
+/// through here rather than re-deriving the layout.
 pub fn peek_types(bytes: &[u8]) -> Option<(crate::ScalarType, crate::IndexType)> {
     let b = *bytes.first()?;
     Some((
@@ -113,7 +92,7 @@ pub fn peek_types(bytes: &[u8]) -> Option<(crate::ScalarType, crate::IndexType)>
     ))
 }
 
-/// Reads the coder tag of a **v2** stream without decoding it (`None`
+/// Reads the coder tag of a stream without decoding it (`None`
 /// for a short stream or an invalid tag). Byte 1 of the prologue.
 pub fn peek_coder(bytes: &[u8]) -> Option<Coder> {
     Coder::from_tag(*bytes.get(1)?)
@@ -124,15 +103,13 @@ pub fn peek_coder(bytes: &[u8]) -> Option<Coder> {
 /// per-chunk entropy-coding ratios from a bounded prefix read.
 #[derive(Debug, Clone)]
 pub struct StreamInfo {
-    /// The stream layout version the caller parsed with.
-    pub version: StreamVersion,
     /// The float format of the biggest-coefficient payload.
     pub float_type: crate::ScalarType,
     /// The bin index type.
     pub index_type: crate::IndexType,
     /// The block transform.
     pub transform: TransformKind,
-    /// The index payload's entropy coder (fixed-width for v1 streams).
+    /// The index payload's entropy coder.
     pub coder: Coder,
     /// The original array shape `s`.
     pub shape: Vec<usize>,
@@ -146,27 +123,22 @@ impl StreamInfo {
     /// The §IV-C fixed-width bit count for this stream's geometry — the
     /// ablation baseline an entropy-coded payload is compared against.
     pub fn fixed_width_bits(&self) -> u64 {
-        let bits = crate::ratio::serialized_bits(
+        crate::ratio::serialized_bits(
             &self.shape,
             &self.block_shape,
             self.float_type.bits(),
             self.index_type.bits(),
             self.kept_per_block,
-        );
-        match self.version {
-            StreamVersion::V1 => bits - 8, // no coder tag in v1
-            StreamVersion::V2 => bits,
-        }
+        )
     }
 }
 
 /// Parses a stream's header fields without decoding any payload.
 /// Returns `None` if the prefix is too short or malformed; callers that
 /// only hold a bounded prefix of the stream can retry with more bytes.
-pub fn peek_info(bytes: &[u8], version: StreamVersion) -> Option<StreamInfo> {
-    let h = parse_header(bytes, version).ok()?;
+pub fn peek_info(bytes: &[u8]) -> Option<StreamInfo> {
+    let h = parse_header(bytes).ok()?;
     Some(StreamInfo {
-        version,
         float_type: h.float_type,
         index_type: h.index_type,
         transform: h.settings.transform,
@@ -215,8 +187,8 @@ fn bad(msg: &str) -> BlazError {
     BlazError::Deserialize(msg.to_string())
 }
 
-/// The header fields shared by both stream versions, plus the bit
-/// position where the payload (biggest section) starts.
+/// The header fields, plus the bit position where the payload (biggest
+/// section) starts.
 struct ParsedHeader {
     float_type: crate::ScalarType,
     index_type: crate::IndexType,
@@ -228,7 +200,7 @@ struct ParsedHeader {
 
 /// Parses prologue, shape, block shape, and mask — everything before the
 /// biggest-coefficient section — validating as it goes.
-fn parse_header(bytes: &[u8], version: StreamVersion) -> Result<ParsedHeader, BlazError> {
+fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, BlazError> {
     let mut r = BitReader::new(bytes);
     let ftag = r.read_bits(2).ok_or_else(|| bad("truncated float tag"))? as u8;
     let itag = r.read_bits(2).ok_or_else(|| bad("truncated index tag"))? as u8;
@@ -240,13 +212,8 @@ fn parse_header(bytes: &[u8], version: StreamVersion) -> Result<ParsedHeader, Bl
         .read_bits(4)
         .ok_or_else(|| bad("truncated transform tag"))? as u8;
     let transform = TransformKind::from_tag(ttag).ok_or_else(|| bad("unknown transform tag"))?;
-    let coder = match version {
-        StreamVersion::V1 => Coder::FixedWidth,
-        StreamVersion::V2 => {
-            let ctag = r.read_bits(8).ok_or_else(|| bad("truncated coder tag"))? as u8;
-            Coder::from_tag(ctag).ok_or_else(|| bad("unknown coder tag"))?
-        }
-    };
+    let ctag = r.read_bits(8).ok_or_else(|| bad("truncated coder tag"))? as u8;
+    let coder = Coder::from_tag(ctag).ok_or_else(|| bad("unknown coder tag"))?;
 
     let mut shape = Vec::new();
     loop {
@@ -307,7 +274,7 @@ fn parse_header(bytes: &[u8], version: StreamVersion) -> Result<ParsedHeader, Bl
 }
 
 impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
-    /// Serializes to bytes (v2 layout), choosing the index-payload coder
+    /// Serializes to bytes, choosing the index-payload coder
     /// automatically: rANS when the optimized bin histogram is skewed
     /// enough to beat fixed width, the fixed-width fallback otherwise
     /// (see [`CompressedArray::choose_coder`]). Deterministic for given
@@ -316,7 +283,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
         self.to_bytes_with(self.choose_coder())
     }
 
-    /// Serializes to bytes (v2 layout) with an explicitly chosen index
+    /// Serializes to bytes with an explicitly chosen index
     /// coder — the ablation/benchmark entry point.
     pub fn to_bytes_with(&self, coder: Coder) -> Vec<u8> {
         let _span = tel::span!("codec.serialize");
@@ -346,18 +313,6 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
         w.into_bytes()
     }
 
-    /// Serializes to the legacy v1 layout (no coder tag, fixed-width
-    /// indices) — what store format v1 files hold.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(P::TYPE.tag() as u64, 2);
-        w.write_bits(I::TYPE.tag() as u64, 2);
-        w.write_bits(self.settings.transform.tag() as u64, 4);
-        self.write_header_and_biggest(&mut w);
-        self.write_indices_fixed(&mut w);
-        w.into_bytes()
-    }
-
     /// Picks the index coder [`CompressedArray::to_bytes`] will use:
     /// builds the optimized symbol table and compares its integer
     /// (platform-independent) size estimate against the fixed-width
@@ -380,7 +335,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
     }
 
     /// Writes shape, end marker, block shape, mask, and the
-    /// biggest-coefficient section (identical in every version/coder).
+    /// biggest-coefficient section (identical under either coder).
     fn write_header_and_biggest(&self, w: &mut BitWriter) {
         for &e in &self.shape {
             w.write_bits(e as u64, 64);
@@ -481,45 +436,14 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
         }
     }
 
-    /// Deserializes from bytes (v2 layout). Fails if the stream's type
+    /// Deserializes from bytes. Fails if the stream's type
     /// tags do not match `P` and `I`, or the stream is malformed —
     /// truncated, bit-flipped, or header-inconsistent streams return
     /// [`BlazError`], never panic or over-read.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, BlazError> {
-        Self::parse(bytes, StreamVersion::V2)
-    }
-
-    /// Deserializes a legacy v1 stream (no coder tag, fixed-width
-    /// indices) — the parser store format v1 chunks go through.
-    pub fn from_bytes_v1(bytes: &[u8]) -> Result<Self, BlazError> {
-        Self::parse(bytes, StreamVersion::V1)
-    }
-
-    /// Deserializes a v2 stream into `slot`, reusing the previous
-    /// occupant's buffers instead of allocating fresh ones.
-    ///
-    /// This is the scan-loop entry point: when `slot` already holds the
-    /// previous chunk of a homogeneous sequence, the header is checked
-    /// bit-for-bit against that chunk's shape/settings without
-    /// allocating, and a match decodes the payload straight into the
-    /// existing `biggest`/`indices` vectors — zero heap allocation on
-    /// the steady-state path. A header mismatch falls back to a full
-    /// parse (still reusing the vectors' capacity where possible). On
-    /// error `slot` is left `None`; the decoded result is exactly
-    /// [`CompressedArray::from_bytes`]'s.
-    pub fn from_bytes_into(bytes: &[u8], slot: &mut Option<Self>) -> Result<(), BlazError> {
-        Self::parse_into(bytes, StreamVersion::V2, slot)
-    }
-
-    /// [`CompressedArray::from_bytes_into`] for legacy v1 streams.
-    pub fn from_bytes_v1_into(bytes: &[u8], slot: &mut Option<Self>) -> Result<(), BlazError> {
-        Self::parse_into(bytes, StreamVersion::V1, slot)
-    }
-
-    fn parse(bytes: &[u8], version: StreamVersion) -> Result<Self, BlazError> {
         let mut slot = None;
-        Self::parse_into(bytes, version, &mut slot)?;
-        Ok(slot.expect("parse_into fills the slot on success"))
+        Self::from_bytes_into(bytes, &mut slot)?;
+        Ok(slot.expect("from_bytes_into fills the slot on success"))
     }
 
     /// Streams over the header of `bytes`, comparing every field (type
@@ -527,7 +451,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
     /// without allocating. Returns the stream's coder and payload start
     /// bit on a full match; `None` on any mismatch or truncation, in
     /// which case the caller re-parses the header from scratch.
-    fn header_matches(&self, bytes: &[u8], version: StreamVersion) -> Option<(Coder, usize)> {
+    fn header_matches(&self, bytes: &[u8]) -> Option<(Coder, usize)> {
         let mut r = BitReader::new(bytes);
         if r.read_bits(2)? as u8 != P::TYPE.tag() || r.read_bits(2)? as u8 != I::TYPE.tag() {
             return None;
@@ -535,10 +459,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
         if r.read_bits(4)? as u8 != self.settings.transform.tag() {
             return None;
         }
-        let coder = match version {
-            StreamVersion::V1 => Coder::FixedWidth,
-            StreamVersion::V2 => Coder::from_tag(r.read_bits(8)? as u8)?,
-        };
+        let coder = Coder::from_tag(r.read_bits(8)? as u8)?;
         for &e in &self.shape {
             if r.read_u64()? != e as u64 {
                 return None;
@@ -560,15 +481,21 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
         Some((coder, r.bit_pos()))
     }
 
-    fn parse_into(
-        bytes: &[u8],
-        version: StreamVersion,
-        slot: &mut Option<Self>,
-    ) -> Result<(), BlazError> {
+    /// Deserializes a stream into `slot`, reusing the previous
+    /// occupant's buffers instead of allocating fresh ones.
+    ///
+    /// This is the scan-loop entry point: when `slot` already holds the
+    /// previous chunk of a homogeneous sequence, the header is checked
+    /// bit-for-bit against that chunk's shape/settings without
+    /// allocating, and a match decodes the payload straight into the
+    /// existing `biggest`/`indices` vectors — zero heap allocation on
+    /// the steady-state path. A header mismatch falls back to a full
+    /// parse (still reusing the vectors' capacity where possible). On
+    /// error `slot` is left `None`; the decoded result is exactly
+    /// [`CompressedArray::from_bytes`]'s.
+    pub fn from_bytes_into(bytes: &[u8], slot: &mut Option<Self>) -> Result<(), BlazError> {
         let _span = tel::span!("codec.deserialize");
-        let matched = slot
-            .as_ref()
-            .and_then(|prev| prev.header_matches(bytes, version));
+        let matched = slot.as_ref().and_then(|prev| prev.header_matches(bytes));
         let (shape, settings, coder, payload_start, mut biggest, mut indices) =
             match (matched, slot.take()) {
                 (Some((coder, payload_start)), Some(prev)) => (
@@ -580,7 +507,7 @@ impl<P: StorableReal, I: BinIndex> CompressedArray<P, I> {
                     prev.indices,
                 ),
                 (_, prev) => {
-                    let h = parse_header(bytes, version)?;
+                    let h = parse_header(bytes)?;
                     if h.float_type != P::TYPE {
                         return Err(bad(&format!(
                             "float type tag {} does not match requested {}",
@@ -850,8 +777,6 @@ mod tests {
                         CompressedArray::<$p, $i>::from_bytes(&c.to_bytes_with(coder)).unwrap();
                     assert_eq!(back, c);
                 }
-                let back = CompressedArray::<$p, $i>::from_bytes_v1(&c.to_bytes_v1()).unwrap();
-                assert_eq!(back, c);
             }};
         }
         rt!(f64, i8);
@@ -870,9 +795,6 @@ mod tests {
         let bytes = c.to_bytes_with(Coder::FixedWidth);
         let bits = crate::ratio::serialized_bits(&[30, 50], &[8, 8], 32, 8, 64);
         assert_eq!(bytes.len(), (bits as usize).div_ceil(8));
-        // The v1 stream is the coder tag (8 bits) shorter.
-        let v1 = c.to_bytes_v1();
-        assert_eq!(v1.len(), (bits as usize - 8).div_ceil(8));
     }
 
     #[test]
@@ -944,8 +866,6 @@ mod tests {
                 CompressedArray::from_bytes_into(&c.to_bytes_with(coder), &mut slot).unwrap();
                 assert_eq!(slot.as_ref().unwrap(), &c, "seed {seed} {coder}");
             }
-            CompressedArray::from_bytes_v1_into(&c.to_bytes_v1(), &mut slot).unwrap();
-            assert_eq!(slot.as_ref().unwrap(), &c, "seed {seed} v1");
         }
         // A geometry change mid-sequence falls back to the full parse.
         let b = random_array(vec![9, 7], 200);
@@ -985,7 +905,6 @@ mod tests {
     fn garbage_rejected() {
         let garbage = vec![0xFFu8; 64];
         assert!(CompressedArray::<f32, i16>::from_bytes(&garbage).is_err());
-        assert!(CompressedArray::<f32, i16>::from_bytes_v1(&garbage).is_err());
     }
 
     #[test]
@@ -996,7 +915,7 @@ mod tests {
         // The table header follows the (fixed-size-for-this-geometry)
         // prologue + shape + mask + biggest section. Corrupt the symbol
         // count: frequencies no longer sum to SCALE.
-        let h = peek_info(&bytes, StreamVersion::V2).unwrap();
+        let h = peek_info(&bytes).unwrap();
         assert_eq!(h.coder, Coder::Rans);
         let n_blocks = 100u64;
         let table_start_bits = 16 + 3 * 64 + 2 * 64 + 16 + 32 * n_blocks;
@@ -1027,23 +946,19 @@ mod tests {
             .unwrap();
         let c = compress::<f32, i8>(&a, &s).unwrap();
         for coder in Coder::ALL {
-            let info = peek_info(&c.to_bytes_with(coder), StreamVersion::V2).unwrap();
+            let bytes = c.to_bytes_with(coder);
+            let info = peek_info(&bytes).unwrap();
             assert_eq!(info.coder, coder);
+            if coder == Coder::FixedWidth {
+                assert_eq!(info.fixed_width_bits().div_ceil(8), bytes.len() as u64);
+            }
             assert_eq!(info.shape, vec![10, 11]);
             assert_eq!(info.block_shape, vec![4, 4]);
             assert_eq!(info.kept_per_block, 5);
             assert_eq!(info.float_type, crate::ScalarType::F32);
             assert_eq!(info.index_type, crate::IndexType::I8);
         }
-        let v1 = peek_info(&c.to_bytes_v1(), StreamVersion::V1).unwrap();
-        assert_eq!(v1.coder, Coder::FixedWidth);
-        assert_eq!(
-            v1.fixed_width_bits() + 8,
-            peek_info(&c.to_bytes(), StreamVersion::V2)
-                .unwrap()
-                .fixed_width_bits()
-        );
-        assert!(peek_info(&[1, 2, 3], StreamVersion::V2).is_none());
+        assert!(peek_info(&[1, 2, 3]).is_none());
     }
 
     #[test]

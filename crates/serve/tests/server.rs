@@ -319,6 +319,8 @@ fn malformed_requests_get_4xx_not_hangs() {
             "GET /query?value_lo=0&mean_hi=1&agg=sum HTTP/1.1\r\n\r\n",
             400,
         ),
+        ("GET /query?value_lo=5&value_hi=1 HTTP/1.1\r\n\r\n", 400),
+        ("GET /query?mean_lo=nan HTTP/1.1\r\n\r\n", 400),
     ];
     for (raw, want) in cases {
         let mut conn = listener.connect();

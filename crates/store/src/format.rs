@@ -33,25 +33,22 @@
 //! bit-exactly and a store written twice from the same data is
 //! byte-identical at any thread count.
 //!
-//! **Alignment.** v2 writers pad the gap before each chunk payload with
+//! **Alignment.** The writer pads the gap before each chunk payload with
 //! zero bytes so every payload starts on a [`CHUNK_ALIGN`]-byte boundary
 //! (the header is 8 bytes, so chunk 0 is aligned for free). The footer's
 //! `offset`/`len` describe only the payload — never the padding — and
 //! [`decode_footer`] accepts such forward gaps (offsets may jump ahead of
-//! the previous payload's end, just never behind it), so padded and
-//! legacy back-to-back files read identically. Aligned payloads let the
-//! mmap-backed read path hand out naturally aligned borrowed slices.
+//! the previous payload's end, just never behind it), so a file whose
+//! payloads are packed back-to-back reads identically. Aligned payloads
+//! let the mmap-backed read path hand out naturally aligned borrowed
+//! slices.
 //!
-//! **Version history.** Format v1 (`"BLZSTOR1"`) held 88-byte entries with
-//! no coder tag, its chunk payloads use the v1 stream layout (no coder
-//! byte, fixed-width indices), and payloads are packed back-to-back. v2
-//! (`"BLZSTOR2"`) adds a per-chunk entropy coder tag to the footer,
-//! stores v2 streams, and 8-byte-aligns payloads. v3 (`"BLZSTOR3"`)
-//! keeps the v2 footer and stream layouts but writes a 32-byte
-//! **chunk preamble** immediately before each payload, making every
-//! chunk self-describing on disk. The header magic is the version
-//! switch: [`crate::Store::open`] reads all three, new files are always
-//! written v3.
+//! **Version history.** v3 only; pre-v3 magics are refused. The two
+//! earlier layouts ([`PRE_V3_MAGICS`]) are no longer read or written:
+//! [`crate::Store::open`] and [`crate::Store::open_salvage`] answer them
+//! with [`StoreError::Corrupt`] naming the magic, and the data must be
+//! re-ingested. v3 writes a 32-byte **chunk preamble** immediately before
+//! each payload, making every chunk self-describing on disk.
 //!
 //! **Salvage scan invariants.** The preamble is what makes a v3 store
 //! recoverable when its footer or trailer is damaged
@@ -74,70 +71,48 @@
 //!    strictly-increasing label sequence; everything else is skipped as
 //!    damage. Footer `offset`/`len` continue to describe only the
 //!    payload, so preambles live in the forward gaps that
-//!    [`decode_footer`] already tolerates, and v1/v2 readers of the
-//!    footer path need no changes.
+//!    [`decode_footer`] already tolerates.
 
 use crate::error::StoreError;
 use crate::zonemap::ZoneMap;
 use blazr::ops::{ChunkStats, ErrorBounds};
 use blazr::Coder;
 
-/// Leading file magic of the current (v3) format.
+/// Leading file magic of the format (v3).
 pub const HEADER_MAGIC: &[u8; 8] = b"BLZSTOR3";
-/// Leading file magic of the v2 format (still readable).
-pub const HEADER_MAGIC_V2: &[u8; 8] = b"BLZSTOR2";
-/// Leading file magic of the legacy v1 format (still readable).
-pub const HEADER_MAGIC_V1: &[u8; 8] = b"BLZSTOR1";
+/// The format name `store stat` reports.
+pub const FORMAT_NAME: &str = "V3";
+/// Leading file magics of the retired pre-v3 formats, which are refused
+/// rather than read.
+pub const PRE_V3_MAGICS: [&[u8; 8]; 2] = [b"BLZSTOR1", b"BLZSTOR2"];
 /// Magic leading every v3 chunk preamble.
 pub const CHUNK_MAGIC: &[u8; 8] = b"BLZCHNK1";
 /// Bytes of a v3 chunk preamble: magic, label, payload len, payload
 /// checksum. A multiple of [`CHUNK_ALIGN`], so payloads stay aligned.
 pub const PREAMBLE_LEN: usize = 32;
-/// Trailing file magic (unchanged across versions).
+/// Trailing file magic.
 pub const TRAILER_MAGIC: &[u8; 8] = b"BLZSIDX1";
 /// Bytes of the fixed-size trailer: footer length, checksum, magic.
 pub const TRAILER_LEN: usize = 24;
-/// Bytes per index entry in a v2 footer.
+/// Bytes per footer index entry.
 pub const ENTRY_LEN: usize = 96;
-/// Bytes per index entry in a v1 footer (no coder tag).
-pub const ENTRY_LEN_V1: usize = 88;
 /// Smallest possible store file: header + empty footer + trailer.
 pub const MIN_FILE_LEN: usize = HEADER_MAGIC.len() + 8 + TRAILER_LEN;
-/// Alignment (bytes) of every chunk payload in a v2 file. The writer
+/// Alignment (bytes) of every chunk payload the writer emits. The writer
 /// pads with zeros up to this boundary before each payload; the pad
 /// bytes are invisible to the footer (offsets/lengths cover payloads
 /// only) and tolerated by [`decode_footer`] as forward gaps.
 pub const CHUNK_ALIGN: u64 = 8;
 
-/// On-disk format version, decided by the header magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// `"BLZSTOR1"`: 88-byte entries, v1 chunk streams, fixed-width only.
-    V1,
-    /// `"BLZSTOR2"`: 96-byte entries with a coder tag, v2 chunk streams.
-    V2,
-    /// `"BLZSTOR3"`: v2 footer and streams plus per-chunk preambles.
-    V3,
-}
-
-impl FormatVersion {
-    /// The version a header magic denotes, if it is one we read.
-    pub fn from_magic(magic: &[u8]) -> Option<Self> {
-        match magic {
-            m if m == HEADER_MAGIC => Some(FormatVersion::V3),
-            m if m == HEADER_MAGIC_V2 => Some(FormatVersion::V2),
-            m if m == HEADER_MAGIC_V1 => Some(FormatVersion::V1),
-            _ => None,
-        }
-    }
-
-    /// Bytes per footer index entry in this version.
-    pub fn entry_len(self) -> usize {
-        match self {
-            FormatVersion::V1 => ENTRY_LEN_V1,
-            FormatVersion::V2 | FormatVersion::V3 => ENTRY_LEN,
-        }
-    }
+/// The refusal for a file whose header magic is one of
+/// [`PRE_V3_MAGICS`]: a [`StoreError::Corrupt`] that names the magic and
+/// says to re-ingest. `None` for any other magic.
+pub(crate) fn pre_v3_refusal(magic: &[u8]) -> Option<StoreError> {
+    let m = PRE_V3_MAGICS.iter().find(|m| m[..] == *magic)?;
+    Some(StoreError::Corrupt(format!(
+        "pre-v3 store (header magic {}) is no longer readable; re-ingest it",
+        String::from_utf8_lossy(&m[..])
+    )))
 }
 
 /// One chunk's footer record: where its payload lives and its zone map.
@@ -154,9 +129,9 @@ pub struct IndexEntry {
     /// read — footer corruption is caught by the trailer checksum,
     /// payload corruption by this one.
     pub payload_sum: u64,
-    /// The entropy coder of the chunk's index payload (v2 footers echo
+    /// The entropy coder of the chunk's index payload (the footer echoes
     /// the stream's own coder tag so `store stat` can report per-coder
-    /// counts without reading payloads; always fixed-width in v1 files).
+    /// counts without reading payloads).
     pub coder: Coder,
     /// The chunk's compressed-space summary.
     pub zone: ZoneMap,
@@ -181,17 +156,7 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn push_entry_common(out: &mut Vec<u8>, e: &IndexEntry) {
-    push_u64(out, e.zone.stats.count);
-    push_f64(out, e.zone.stats.sum);
-    push_f64(out, e.zone.stats.sum_sq);
-    push_f64(out, e.zone.stats.min_bound);
-    push_f64(out, e.zone.stats.max_bound);
-    push_f64(out, e.zone.bounds.linf);
-    push_f64(out, e.zone.bounds.l2);
-}
-
-/// Encodes a v2 footer (chunk count + index entries), without the trailer.
+/// Encodes a footer (chunk count + index entries), without the trailer.
 pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * ENTRY_LEN);
     push_u64(&mut out, entries.len() as u64);
@@ -201,22 +166,13 @@ pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
         push_u64(&mut out, e.len);
         push_u64(&mut out, e.payload_sum);
         push_u64(&mut out, e.coder.tag() as u64);
-        push_entry_common(&mut out, e);
-    }
-    out
-}
-
-/// Encodes a legacy v1 footer (no coder tags). Kept public so the
-/// durability suite can fabricate v1 files; the writer never uses it.
-pub fn encode_footer_v1(entries: &[IndexEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + entries.len() * ENTRY_LEN_V1);
-    push_u64(&mut out, entries.len() as u64);
-    for e in entries {
-        push_u64(&mut out, e.label);
-        push_u64(&mut out, e.offset);
-        push_u64(&mut out, e.len);
-        push_u64(&mut out, e.payload_sum);
-        push_entry_common(&mut out, e);
+        push_u64(&mut out, e.zone.stats.count);
+        push_f64(&mut out, e.zone.stats.sum);
+        push_f64(&mut out, e.zone.stats.sum_sq);
+        push_f64(&mut out, e.zone.stats.min_bound);
+        push_f64(&mut out, e.zone.stats.max_bound);
+        push_f64(&mut out, e.zone.bounds.linf);
+        push_f64(&mut out, e.zone.bounds.l2);
     }
     out
 }
@@ -328,15 +284,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes and validates a footer produced by [`encode_footer`] (or, for
-/// [`FormatVersion::V1`], by [`encode_footer_v1`]). `payload_end` is the
-/// file offset where chunk payloads must end (the footer's own start);
-/// offsets and lengths are checked against it.
-pub fn decode_footer(
-    footer: &[u8],
-    payload_end: u64,
-    version: FormatVersion,
-) -> Result<Vec<IndexEntry>, StoreError> {
+/// Decodes and validates a footer produced by [`encode_footer`].
+/// `payload_end` is the file offset where chunk payloads must end (the
+/// footer's own start); offsets and lengths are checked against it.
+pub fn decode_footer(footer: &[u8], payload_end: u64) -> Result<Vec<IndexEntry>, StoreError> {
     let corrupt = |msg: String| StoreError::Corrupt(msg);
     if footer.len() < 8 {
         return Err(corrupt("footer shorter than its chunk count".into()));
@@ -346,10 +297,14 @@ pub fn decode_footer(
         pos: 0,
     };
     let count = c.u64();
-    let expect = 8 + (count as usize).saturating_mul(version.entry_len());
-    if footer.len() != expect {
+    // A hostile count must not overflow the size check.
+    let expect = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(ENTRY_LEN))
+        .and_then(|n| n.checked_add(8));
+    if expect != Some(footer.len()) {
         return Err(corrupt(format!(
-            "footer holds {} bytes but {count} chunks need {expect}",
+            "footer holds {} bytes but claims {count} chunks of {ENTRY_LEN} bytes",
             footer.len()
         )));
     }
@@ -361,16 +316,11 @@ pub fn decode_footer(
         let offset = c.u64();
         let len = c.u64();
         let payload_sum = c.u64();
-        let coder = match version {
-            FormatVersion::V1 => Coder::FixedWidth,
-            FormatVersion::V2 | FormatVersion::V3 => {
-                let tag = c.u64();
-                u8::try_from(tag)
-                    .ok()
-                    .and_then(Coder::from_tag)
-                    .ok_or_else(|| corrupt(format!("chunk {i}: unknown coder tag {tag}")))?
-            }
-        };
+        let tag = c.u64();
+        let coder = u8::try_from(tag)
+            .ok()
+            .and_then(Coder::from_tag)
+            .ok_or_else(|| corrupt(format!("chunk {i}: unknown coder tag {tag}")))?;
         if let Some(last) = last_label {
             if label <= last {
                 return Err(corrupt(format!(
@@ -440,24 +390,8 @@ mod tests {
         let entries = vec![entry(0, 8, 100), entry(10, 108, 50), entry(11, 158, 1)];
         let footer = encode_footer(&entries);
         assert_eq!(footer.len(), 8 + 3 * ENTRY_LEN);
-        let back = decode_footer(&footer, 159, FormatVersion::V2).unwrap();
+        let back = decode_footer(&footer, 159).unwrap();
         assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn v1_footer_roundtrips_with_fixed_width_coder() {
-        let entries = vec![entry(0, 8, 100), entry(10, 108, 50)];
-        let footer = encode_footer_v1(&entries);
-        assert_eq!(footer.len(), 8 + 2 * ENTRY_LEN_V1);
-        let back = decode_footer(&footer, 158, FormatVersion::V1).unwrap();
-        // Everything but the coder (which v1 cannot record) survives.
-        for (b, e) in back.iter().zip(&entries) {
-            assert_eq!(b.coder, Coder::FixedWidth);
-            assert_eq!((b.label, b.offset, b.len), (e.label, e.offset, e.len));
-            assert_eq!(b.zone, e.zone);
-        }
-        // A v1 footer is not a valid v2 footer (size mismatch).
-        assert!(decode_footer(&footer, 158, FormatVersion::V2).is_err());
     }
 
     #[test]
@@ -466,7 +400,7 @@ mod tests {
         // The coder tag is the fifth u64 of the entry.
         footer[8 + 4 * 8] = 0x77;
         assert!(matches!(
-            decode_footer(&footer, 50, FormatVersion::V2),
+            decode_footer(&footer, 50),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -474,27 +408,7 @@ mod tests {
     #[test]
     fn empty_footer_roundtrips() {
         let footer = encode_footer(&[]);
-        assert_eq!(
-            decode_footer(&footer, 8, FormatVersion::V2).unwrap(),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn format_version_from_magic() {
-        assert_eq!(
-            FormatVersion::from_magic(HEADER_MAGIC),
-            Some(FormatVersion::V3)
-        );
-        assert_eq!(
-            FormatVersion::from_magic(HEADER_MAGIC_V2),
-            Some(FormatVersion::V2)
-        );
-        assert_eq!(
-            FormatVersion::from_magic(HEADER_MAGIC_V1),
-            Some(FormatVersion::V1)
-        );
-        assert_eq!(FormatVersion::from_magic(b"BLZSTOR9"), None);
+        assert_eq!(decode_footer(&footer, 8).unwrap(), vec![]);
     }
 
     #[test]
@@ -581,23 +495,25 @@ mod tests {
 
     #[test]
     fn label_order_and_offsets_are_validated() {
-        let dec = |footer: &[u8], end| decode_footer(footer, end, FormatVersion::V2);
         // Non-increasing labels.
         let footer = encode_footer(&[entry(5, 8, 10), entry(5, 18, 10)]);
-        assert!(matches!(dec(&footer, 28), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            decode_footer(&footer, 28),
+            Err(StoreError::Corrupt(_))
+        ));
         // Payload reaching past the footer start.
         let footer = encode_footer(&[entry(0, 8, 100)]);
-        assert!(dec(&footer, 50).is_err());
+        assert!(decode_footer(&footer, 50).is_err());
         // Payload under the header.
         let footer = encode_footer(&[entry(0, 0, 4)]);
-        assert!(dec(&footer, 50).is_err());
+        assert!(decode_footer(&footer, 50).is_err());
         // Overlapping payloads.
         let footer = encode_footer(&[entry(0, 8, 10), entry(1, 12, 10)]);
-        assert!(dec(&footer, 50).is_err());
+        assert!(decode_footer(&footer, 50).is_err());
         // Truncated / padded footers.
         let good = encode_footer(&[entry(0, 8, 10)]);
-        assert!(dec(&good[..good.len() - 1], 50).is_err());
-        assert!(dec(&[], 50).is_err());
+        assert!(decode_footer(&good[..good.len() - 1], 50).is_err());
+        assert!(decode_footer(&[], 50).is_err());
     }
 
     #[test]

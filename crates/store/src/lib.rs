@@ -72,7 +72,7 @@ mod writer;
 mod zonemap;
 
 pub use error::StoreError;
-pub use format::{FormatVersion, IndexEntry};
+pub use format::IndexEntry;
 pub use query::{Aggregate, DegradationReport, Predicate, Query, QueryResult, SkippedChunk};
 pub use store::{write_series, RetryPolicy, SalvageReport, Store};
 pub use writer::StoreWriter;

@@ -319,6 +319,17 @@ impl Store {
                 q.from_label, q.to_label
             )));
         }
+        // Inverted or NaN predicate bounds would match everything or
+        // nothing; `lo == hi` and infinite bounds stay valid.
+        if let Some(Predicate::ValueInRange { lo, hi } | Predicate::MeanInRange { lo, hi }) =
+            q.predicate
+        {
+            if lo.is_nan() || hi.is_nan() || lo > hi {
+                return Err(StoreError::InvalidArgument(format!(
+                    "invalid predicate range: lo {lo} hi {hi}"
+                )));
+            }
+        }
         let range = self.select(q.from_label, q.to_label);
         let chunks_in_range = range.len();
 

@@ -25,13 +25,13 @@
 
 use crate::error::{io_err, StoreError};
 use crate::format::{
-    decode_footer, fnv1a64, scan_salvage, FormatVersion, IndexEntry, HEADER_MAGIC, HEADER_MAGIC_V1,
-    HEADER_MAGIC_V2, MIN_FILE_LEN, TRAILER_LEN, TRAILER_MAGIC,
+    decode_footer, fnv1a64, pre_v3_refusal, scan_salvage, IndexEntry, HEADER_MAGIC, MIN_FILE_LEN,
+    TRAILER_LEN, TRAILER_MAGIC,
 };
 use crate::writer::StoreWriter;
 use crate::zonemap::ZoneMap;
-use blazr::dynamic::{from_bytes_dyn_into, from_bytes_dyn_v1_into, DynCompressed};
-use blazr::serialize::{StreamInfo, StreamVersion};
+use blazr::dynamic::{from_bytes_dyn_into, DynCompressed};
+use blazr::serialize::StreamInfo;
 use blazr::series::CompressedSeries;
 use blazr::{BinIndex, Coder, CompressedArray, IndexType, ScalarType};
 use blazr_precision::StorableReal;
@@ -166,7 +166,6 @@ pub struct Store {
     /// first byte access computes the FNV sum, then the latched verdict.
     /// A failed verdict is permanent — every later access keeps erroring.
     checks: Vec<OnceLock<bool>>,
-    version: FormatVersion,
     retry: RetryPolicy,
     /// True when [`Store::open`] asked for a memory map and the platform
     /// refused with an error (not merely "unsupported") — the store then
@@ -256,10 +255,7 @@ impl Store {
     /// Reads and validates header magic, trailer, and footer — the
     /// normal open path, borrowed out of `load` so the salvage path can
     /// try it first and keep the backing when it fails.
-    fn read_index(
-        backing: &Backing,
-        retry: &RetryPolicy,
-    ) -> Result<(FormatVersion, Vec<IndexEntry>), StoreError> {
+    fn read_index(backing: &Backing, retry: &RetryPolicy) -> Result<Vec<IndexEntry>, StoreError> {
         let corrupt = |msg: String| StoreError::Corrupt(msg);
         let file_len = backing.len();
         if file_len < MIN_FILE_LEN as u64 {
@@ -268,9 +264,10 @@ impl Store {
             )));
         }
         let magic = backing.read_at(0, HEADER_MAGIC.len(), retry)?;
-        let Some(version) = FormatVersion::from_magic(&magic) else {
-            return Err(corrupt("missing BLZSTOR header magic".into()));
-        };
+        if magic != HEADER_MAGIC {
+            return Err(pre_v3_refusal(&magic)
+                .unwrap_or_else(|| corrupt("missing BLZSTOR3 header magic".into())));
+        }
         let trailer = backing.read_at(file_len - TRAILER_LEN as u64, TRAILER_LEN, retry)?;
         if &trailer[16..] != TRAILER_MAGIC {
             return Err(corrupt(
@@ -295,13 +292,12 @@ impl Store {
                 "footer checksum mismatch: stored {stored_sum:#018x}, computed {actual_sum:#018x}"
             )));
         }
-        let entries = decode_footer(&footer, footer_start, version)?;
-        Ok((version, entries))
+        decode_footer(&footer, footer_start)
     }
 
     fn load(backing: Backing, mmap_fell_back: bool) -> Result<Self, StoreError> {
         let retry = RetryPolicy::default();
-        let (version, entries) = Self::read_index(&backing, &retry)?;
+        let entries = Self::read_index(&backing, &retry)?;
         let checks = entries.iter().map(|_| OnceLock::new()).collect();
         if tel::counters_enabled() {
             match &backing {
@@ -314,16 +310,9 @@ impl Store {
             backing,
             entries,
             checks,
-            version,
             retry,
             mmap_fell_back,
         })
-    }
-
-    /// The on-disk format version this store was written with. New files
-    /// are always v3; v1 and v2 files stay readable.
-    pub fn format_version(&self) -> FormatVersion {
-        self.version
     }
 
     /// True when [`Store::open`]'s memory-map attempt failed with an
@@ -346,8 +335,8 @@ impl Store {
     /// [`crate::format`]) and every verified chunk is recovered, in label
     /// order, with its zone map recomputed from the payload. Only
     /// [`StoreError::Corrupt`] triggers the scan — I/O errors propagate —
-    /// and a file that yields no salvageable chunk (including any v1/v2
-    /// file, which has no preambles) stays `Corrupt`.
+    /// and a file that yields no salvageable chunk stays `Corrupt`. A
+    /// pre-v3 file is refused as by [`Store::open`]: it has no preambles.
     pub fn open_salvage(path: impl AsRef<Path>) -> Result<(Self, SalvageReport), StoreError> {
         Self::open_salvage_with(&OsVfs, path)
     }
@@ -397,15 +386,15 @@ impl Store {
             Err(StoreError::Corrupt(_)) => {}
             Err(e) => return Err(e),
         }
-        // A v1/v2 file has a valid magic but no preambles: scanning it
-        // can only find garbage, so say what is actually wrong.
+        // A pre-v3 file has no preambles: scanning it can only find
+        // garbage, so say what is actually wrong.
         let file_len = backing.len();
-        if let Ok(magic) = backing.read_at(0, HEADER_MAGIC.len(), &retry) {
-            if magic == HEADER_MAGIC_V1 || magic == HEADER_MAGIC_V2 {
-                return Err(StoreError::Corrupt(
-                    "damaged pre-v3 store: no chunk preambles to salvage from".into(),
-                ));
-            }
+        if let Some(refusal) = backing
+            .read_at(0, HEADER_MAGIC.len(), &retry)
+            .ok()
+            .and_then(|magic| pre_v3_refusal(&magic))
+        {
+            return Err(refusal);
         }
         // Scan the whole file. The addressable backings scan in place;
         // the positional backing reads the file once, with retries.
@@ -484,7 +473,6 @@ impl Store {
             backing,
             entries,
             checks,
-            version: FormatVersion::V3,
             retry,
             mmap_fell_back,
         };
@@ -499,14 +487,6 @@ impl Store {
             Backing::Mem(_) => "memory",
             Backing::Map(_) => "mmap",
             Backing::File(..) => "file",
-        }
-    }
-
-    /// The stream layout version of this store's chunk payloads.
-    fn stream_version(&self) -> StreamVersion {
-        match self.version {
-            FormatVersion::V1 => StreamVersion::V1,
-            FormatVersion::V2 | FormatVersion::V3 => StreamVersion::V2,
         }
     }
 
@@ -668,16 +648,11 @@ impl Store {
     /// On success the slot holds the decoded chunk; only inspect it after
     /// `Ok`.
     pub fn chunk_into(&self, i: usize, slot: &mut Option<DynCompressed>) -> Result<(), StoreError> {
-        let version = self.version;
-        self.with_chunk_bytes(i, |bytes| match version {
-            FormatVersion::V1 => from_bytes_dyn_v1_into(bytes, slot),
-            FormatVersion::V2 | FormatVersion::V3 => from_bytes_dyn_into(bytes, slot),
-        })??;
+        self.with_chunk_bytes(i, |bytes| from_bytes_dyn_into(bytes, slot))??;
         Ok(())
     }
 
-    /// Decodes chunk `i` with runtime types read from its payload (the
-    /// store's format version picks the stream parser).
+    /// Decodes chunk `i` with runtime types read from its payload.
     pub fn chunk(&self, i: usize) -> Result<DynCompressed, StoreError> {
         let mut slot = None;
         self.chunk_into(i, &mut slot)?;
@@ -689,12 +664,7 @@ impl Store {
         &self,
         i: usize,
     ) -> Result<CompressedArray<P, I>, StoreError> {
-        let version = self.version;
-        let parsed = self.with_chunk_bytes(i, |bytes| match version {
-            FormatVersion::V1 => CompressedArray::<P, I>::from_bytes_v1(bytes),
-            FormatVersion::V2 | FormatVersion::V3 => CompressedArray::<P, I>::from_bytes(bytes),
-        })?;
-        Ok(parsed?)
+        Ok(self.with_chunk_bytes(i, CompressedArray::<P, I>::from_bytes)??)
     }
 
     /// Header summary of chunk `i` — types, transform, coder, geometry,
@@ -704,11 +674,9 @@ impl Store {
     /// the per-thread scratch. Either way the bytes are verified before
     /// parsing (lazily, on the chunk's first touch), so a bit-flipped
     /// header yields [`StoreError::Corrupt`] — never a silently wrong
-    /// `StreamInfo`. (An earlier revision peeked an *unverified* 64 KiB
-    /// prefix, which corruption could turn into confident nonsense.)
+    /// `StreamInfo`.
     pub fn chunk_info(&self, i: usize) -> Result<StreamInfo, StoreError> {
-        let version = self.stream_version();
-        let info = self.with_chunk_bytes(i, |bytes| blazr::serialize::peek_info(bytes, version))?;
+        let info = self.with_chunk_bytes(i, blazr::serialize::peek_info)?;
         info.ok_or_else(|| {
             let e = &self.entries[i];
             StoreError::Corrupt(format!("chunk {i} (label {}): unreadable header", e.label))

@@ -140,6 +140,16 @@ fn corrupted_footer_fails_checksum() {
         Store::from_bytes(bad),
         Err(StoreError::Corrupt(_))
     ));
+    // A hostile chunk count under a re-sealed (valid) trailer checksum
+    // fails the footer size check instead of overflowing it.
+    let mut bad = bytes.clone();
+    bad[footer_start..footer_start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let trailer = blazr_store::format::encode_trailer(&bad[footer_start..trailer_start]);
+    bad[trailer_start..].copy_from_slice(&trailer);
+    assert!(matches!(
+        Store::from_bytes(bad),
+        Err(StoreError::Corrupt(_))
+    ));
     // Corrupted header magic.
     let mut bad = bytes.clone();
     bad[0] ^= 0x01;
@@ -147,6 +157,26 @@ fn corrupted_footer_fails_checksum() {
         Store::from_bytes(bad),
         Err(StoreError::Corrupt(_))
     ));
+    // A pre-v3 magic is refused by every open path, naming the magic.
+    for magic in blazr_store::format::PRE_V3_MAGICS {
+        let mut old = bytes.clone();
+        old[..8].copy_from_slice(magic);
+        let old_path = tmp("pre-v3.blzs");
+        fs::write(&old_path, &old).unwrap();
+        let name = String::from_utf8_lossy(magic).into_owned();
+        for got in [
+            Store::from_bytes(old.clone()).err(),
+            Store::open(&old_path).err(),
+            Store::salvage_from_bytes(old).err(),
+        ] {
+            match got {
+                Some(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("pre-v3") && msg.contains(&name), "{msg}")
+                }
+                other => panic!("{name}: expected a pre-v3 refusal, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -321,71 +351,16 @@ fn series_bridge_roundtrips_on_disk() {
     assert!(store.to_series::<f64, i16>().is_err());
 }
 
-// ---- format v1/v2 coexistence (PR-6 entropy coding) -----------------
-
-/// Builds a legacy v1 store file by hand: v1 magic, v1 chunk streams
-/// (no coder tag), 88-byte footer entries. This is byte-compatible with
-/// what the pre-entropy-coding writer produced.
-fn fabricate_v1_file(data: &[(u64, NdArray<f64>)]) -> Vec<u8> {
-    use blazr_store::format::{encode_footer_v1, encode_trailer, fnv1a64, HEADER_MAGIC_V1};
-    use blazr_store::{IndexEntry, ZoneMap};
-    let settings = Settings::new(vec![4, 4]).unwrap();
-    let mut file: Vec<u8> = HEADER_MAGIC_V1.to_vec();
-    let mut entries = Vec::new();
-    for (label, frame) in data {
-        let c = blazr::compress::<f32, i16>(frame, &settings).unwrap();
-        let zone = ZoneMap::of(&c).unwrap();
-        let bytes = c.to_bytes_v1();
-        entries.push(IndexEntry {
-            label: *label,
-            offset: file.len() as u64,
-            len: bytes.len() as u64,
-            payload_sum: fnv1a64(&bytes),
-            coder: blazr::Coder::FixedWidth,
-            zone,
-        });
-        file.extend_from_slice(&bytes);
-    }
-    let footer = encode_footer_v1(&entries);
-    let trailer = encode_trailer(&footer);
-    file.extend_from_slice(&footer);
-    file.extend_from_slice(&trailer);
-    file
-}
-
-#[test]
-fn v1_files_stay_readable() {
-    use blazr_store::FormatVersion;
-    let data = frames();
-    let store = Store::from_bytes(fabricate_v1_file(&data)).unwrap();
-    assert_eq!(store.format_version(), FormatVersion::V1);
-    assert_eq!(store.len(), data.len());
-    for (i, (label, frame)) in data.iter().enumerate() {
-        assert_eq!(store.entries()[i].label, *label);
-        assert_eq!(store.chunk_coder(i), blazr::Coder::FixedWidth);
-        // v1 chunks decode through the v1 stream parser and match a
-        // fresh compression of the same frame exactly.
-        let settings = Settings::new(vec![4, 4]).unwrap();
-        let expect = blazr::compress::<f32, i16>(frame, &settings).unwrap();
-        assert_eq!(store.chunk_typed::<f32, i16>(i).unwrap(), expect);
-        // Header peeks work on the v1 layout too.
-        let info = store.chunk_info(i).unwrap();
-        assert_eq!(info.coder, blazr::Coder::FixedWidth);
-        assert_eq!(info.shape, vec![13, 18]);
-    }
-    // Zone-map queries never touch payloads, so they are version-blind.
-    let r = store.query(&Query::all(Aggregate::Mean)).unwrap();
-    assert!(r.value.is_finite());
-}
-
 #[test]
 fn fresh_files_record_per_chunk_coders() {
-    use blazr_store::FormatVersion;
     let data = frames();
     let p = tmp("coder-tags.blzs");
     write_store(&p, &data);
     let store = Store::open(&p).unwrap();
-    assert_eq!(store.format_version(), FormatVersion::V3);
+    assert_eq!(
+        &fs::read(&p).unwrap()[..8],
+        blazr_store::format::HEADER_MAGIC
+    );
     for i in 0..store.len() {
         // The footer's coder tag must echo the stream's own prologue.
         let bytes = store.chunk_bytes(i).unwrap();

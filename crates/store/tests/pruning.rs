@@ -3,7 +3,7 @@
 //! bound, may never prune a chunk the exact evaluation would keep.
 
 use blazr::{IndexType, ScalarType, Settings};
-use blazr_store::{Aggregate, Predicate, Query, Store, StoreWriter};
+use blazr_store::{Aggregate, Predicate, Query, Store, StoreError, StoreWriter};
 use blazr_tensor::NdArray;
 use blazr_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
@@ -180,6 +180,39 @@ fn label_range_and_predicate_compose() {
             aggregate: Aggregate::Count,
         })
         .is_err());
+    // So are inverted or NaN predicate bounds, on either predicate;
+    // a point range `lo == hi` stays valid.
+    for (predicate, valid) in [
+        (Predicate::ValueInRange { lo: 5.0, hi: 1.0 }, false),
+        (Predicate::MeanInRange { lo: 5.0, hi: 1.0 }, false),
+        (
+            Predicate::ValueInRange {
+                lo: f64::NAN,
+                hi: 1.0,
+            },
+            false,
+        ),
+        (
+            Predicate::MeanInRange {
+                lo: 0.0,
+                hi: f64::NAN,
+            },
+            false,
+        ),
+        (Predicate::ValueInRange { lo: 5.0, hi: 5.0 }, true),
+    ] {
+        let q = Query {
+            predicate: Some(predicate),
+            ..q
+        };
+        for got in [store.query(&q), store.query_full_scan(&q)] {
+            match got {
+                Ok(_) => assert!(valid, "{predicate:?} accepted"),
+                Err(StoreError::InvalidArgument(_)) => assert!(!valid, "{predicate:?} rejected"),
+                Err(e) => panic!("{predicate:?}: unexpected {e}"),
+            }
+        }
+    }
 }
 
 proptest! {

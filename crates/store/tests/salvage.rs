@@ -114,16 +114,16 @@ fn corrupt_trailer_salvages_every_chunk_bit_identically_across_threads() {
 
 #[test]
 fn damaged_pre_v3_files_cannot_salvage() {
-    use blazr_store::format::{HEADER_MAGIC, HEADER_MAGIC_V2};
+    use blazr_store::format::{HEADER_MAGIC, PRE_V3_MAGICS};
     let data = seeded_frames(3, 3, 12, 12);
     let p = tmp("prev3.blzs");
     write_store(&p, &data);
     let mut bytes = fs::read(&p).unwrap();
-    // Rewrite the magic to v2 and smash the trailer: the file now claims
-    // a format with no preambles, so salvage refuses with a clear reason
-    // instead of scanning for structure that cannot exist.
+    // Rewrite the magic to a pre-v3 one and smash the trailer: the file
+    // now claims a format with no preambles, so salvage refuses with a
+    // clear reason instead of scanning for structure that cannot exist.
     assert_eq!(&bytes[..8], HEADER_MAGIC);
-    bytes[..8].copy_from_slice(HEADER_MAGIC_V2);
+    bytes[..8].copy_from_slice(PRE_V3_MAGICS[1]);
     let n = bytes.len();
     bytes[n - 4] ^= 0xFF;
     match Store::salvage_from_bytes(bytes) {

@@ -1,6 +1,6 @@
 //! The zero-copy read path: every backing (mmap, positional-read file,
-//! in-memory buffer) serves bit-identical answers on v1 and v2 files at
-//! any thread count; lazy checksums still fail loudly (and permanently)
+//! in-memory buffer) serves bit-identical answers on aligned and packed
+//! files at any thread count; lazy checksums still fail loudly (and permanently)
 //! on corruption; the panic-path sweep regressions stay fixed.
 
 use blazr::{IndexType, ScalarType, Settings};
@@ -54,29 +54,34 @@ fn write_store(path: &PathBuf, data: &[(u64, NdArray<f64>)]) {
     w.finish().unwrap();
 }
 
-/// Builds a legacy v1 file by hand (packed payloads, 88-byte entries) —
-/// same fabrication as the durability suite.
-fn fabricate_v1_file(data: &[(u64, NdArray<f64>)]) -> Vec<u8> {
-    use blazr_store::format::{encode_footer_v1, encode_trailer, fnv1a64, HEADER_MAGIC_V1};
+/// Builds a packed v3 file by hand: payloads back to back and unaligned,
+/// with no preambles and no padding. The footer reader accepts this
+/// layout, so it must read like a writer-produced file.
+fn fabricate_packed_file(data: &[(u64, NdArray<f64>)]) -> Vec<u8> {
+    use blazr_store::format::{encode_footer, encode_trailer, fnv1a64, HEADER_MAGIC};
     use blazr_store::{IndexEntry, ZoneMap};
     let settings = Settings::new(vec![4, 4]).unwrap();
-    let mut file: Vec<u8> = HEADER_MAGIC_V1.to_vec();
+    let mut file: Vec<u8> = HEADER_MAGIC.to_vec();
     let mut entries = Vec::new();
     for (label, frame) in data {
         let c = blazr::compress::<f32, i16>(frame, &settings).unwrap();
         let zone = ZoneMap::of(&c).unwrap();
-        let bytes = c.to_bytes_v1();
+        let bytes = c.to_bytes();
         entries.push(IndexEntry {
             label: *label,
             offset: file.len() as u64,
             len: bytes.len() as u64,
             payload_sum: fnv1a64(&bytes),
-            coder: blazr::Coder::FixedWidth,
+            coder: c.choose_coder(),
             zone,
         });
         file.extend_from_slice(&bytes);
     }
-    let footer = encode_footer_v1(&entries);
+    assert!(
+        entries.iter().any(|e| e.offset % 8 != 0),
+        "a packed file should hold an unaligned payload"
+    );
+    let footer = encode_footer(&entries);
     let trailer = encode_trailer(&footer);
     file.extend_from_slice(&footer);
     file.extend_from_slice(&trailer);
@@ -97,14 +102,14 @@ fn assert_bit_identical(a: &blazr_store::QueryResult, b: &blazr_store::QueryResu
 
 /// The acceptance-criteria matrix: mmap, positional-read, and in-memory
 /// backings produce bit-identical pruned and full-scan answers on both
-/// format versions at 1/2/4/8 threads.
+/// a writer-produced and a packed file at 1/2/4/8 threads.
 #[test]
-fn all_backings_agree_bit_identically_across_threads_and_versions() {
+fn all_backings_agree_bit_identically_across_threads() {
     let data = frames(8);
-    let v2_path = tmp("backings-v2.blzs");
-    write_store(&v2_path, &data);
-    let v1_path = tmp("backings-v1.blzs");
-    fs::write(&v1_path, fabricate_v1_file(&data)).unwrap();
+    let written_path = tmp("backings-written.blzs");
+    write_store(&written_path, &data);
+    let packed_path = tmp("backings-packed.blzs");
+    fs::write(&packed_path, fabricate_packed_file(&data)).unwrap();
 
     let q = Query {
         from_label: 0,
@@ -112,7 +117,7 @@ fn all_backings_agree_bit_identically_across_threads_and_versions() {
         predicate: Some(Predicate::ValueInRange { lo: 4.5, hi: 5.5 }),
         aggregate: Aggregate::Mean,
     };
-    for path in [&v2_path, &v1_path] {
+    for path in [&written_path, &packed_path] {
         let mapped = Store::open(path).unwrap();
         let unmapped = Store::open_unmapped(path).unwrap();
         let mem = Store::from_bytes(fs::read(path).unwrap()).unwrap();

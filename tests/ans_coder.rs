@@ -56,8 +56,8 @@ fn transform_kind() -> impl Strategy<Value = TransformKind> {
 }
 
 /// Asserts the full coder contract for one compressed array: both coders
-/// and the v1 layout round-trip to the same array, and every layout's
-/// bytes are identical at 1/2/4/8 threads.
+/// round-trip to the same array, and each coder's bytes are identical at
+/// 1/2/4/8 threads.
 fn assert_coder_contract<P, I>(c: &CompressedArray<P, I>, label: &str)
 where
     P: blazr::StorableReal,
@@ -65,13 +65,11 @@ where
 {
     let fixed = with_threads(1, || c.to_bytes_with(Coder::FixedWidth));
     let rans = with_threads(1, || c.to_bytes_with(Coder::Rans));
-    let v1 = with_threads(1, || c.to_bytes_v1());
     for threads in [1usize, 2, 4, 8] {
-        let (f, r, v) = with_threads(threads, || {
+        let (f, r) = with_threads(threads, || {
             (
                 c.to_bytes_with(Coder::FixedWidth),
                 c.to_bytes_with(Coder::Rans),
-                c.to_bytes_v1(),
             )
         });
         assert_eq!(
@@ -79,12 +77,10 @@ where
             "{label}: fixed bytes diverged at {threads} threads"
         );
         assert_eq!(r, rans, "{label}: rans bytes diverged at {threads} threads");
-        assert_eq!(v, v1, "{label}: v1 bytes diverged at {threads} threads");
-        let (bf, br, bv) = with_threads(threads, || {
+        let (bf, br) = with_threads(threads, || {
             (
                 CompressedArray::<P, I>::from_bytes(&fixed).unwrap(),
                 CompressedArray::<P, I>::from_bytes(&rans).unwrap(),
-                CompressedArray::<P, I>::from_bytes_v1(&v1).unwrap(),
             )
         });
         assert_eq!(
@@ -92,7 +88,6 @@ where
             "{label}: fixed decode diverged at {threads} threads"
         );
         assert_eq!(&br, c, "{label}: rans decode diverged at {threads} threads");
-        assert_eq!(&bv, c, "{label}: v1 decode diverged at {threads} threads");
     }
 }
 

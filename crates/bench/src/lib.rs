@@ -4,9 +4,8 @@
 //! Each `table*`/`fig*`/`ratio_examples` binary in `src/bin/` regenerates
 //! the paper table or figure it is named after and writes a CSV into
 //! `results/`. Pass `--quick` to any binary to shrink the sweep for smoke
-//! runs. `loadgen` load-tests the query server; every other performance
-//! number comes from the ledger in `src/bin/ledger` (a package of its own,
-//! see its README).
+//! runs. Every other performance number comes from the ledger in
+//! `src/bin/ledger` (a package of its own, see its README).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -11,32 +11,38 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv` (without the program name). Options listed in
-    /// `flag_names` take no value.
-    pub fn parse(argv: &[String], flag_names: &[&str]) -> Result<Self, String> {
+    /// Parses `argv` (without the program name). `option_names` take a
+    /// value and `flag_names` take none; any other `--name` is an error,
+    /// so a misspelt option fails instead of being ignored. `-o` is
+    /// short for `--output`.
+    pub fn parse(
+        argv: &[String],
+        option_names: &[&str],
+        flag_names: &[&str],
+    ) -> Result<Self, String> {
         let mut out = Args::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if flag_names.contains(&name) {
-                    out.flags.push(name.to_string());
-                } else {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("option --{name} needs a value"))?;
-                    out.options.insert(name.to_string(), v.clone());
+            let name = match (a.strip_prefix("--"), a.as_str()) {
+                (Some(name), _) => name,
+                (None, "-o") => "output",
+                (None, short) if short.starts_with('-') => {
+                    return Err(format!("unknown option {short}"))
                 }
-            } else if let Some(name) = a.strip_prefix('-') {
-                // Short options: only -o is defined.
-                match name {
-                    "o" => {
-                        let v = it.next().ok_or("option -o needs a value")?;
-                        out.options.insert("output".to_string(), v.clone());
-                    }
-                    _ => return Err(format!("unknown option -{name}")),
+                _ => {
+                    out.positionals.push(a.clone());
+                    continue;
                 }
+            };
+            if flag_names.contains(&name) {
+                out.flags.push(name.to_string());
+            } else if option_names.contains(&name) {
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("option {a} needs a value"))?;
+                out.options.insert(name.to_string(), v.clone());
             } else {
-                out.positionals.push(a.clone());
+                return Err(format!("unknown option {a}"));
             }
         }
         Ok(out)
@@ -47,7 +53,6 @@ impl Args {
     }
 
     /// True if the boolean flag `name` was given.
-    #[allow(dead_code)] // parser API; currently only `--quick`-style flags use it
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
@@ -117,6 +122,7 @@ mod tests {
     fn parses_positionals_options_and_flags() {
         let a = Args::parse(
             &sv(&["in.f64", "--shape", "4x4", "-o", "out.blz", "--verbose"]),
+            &["shape", "output"],
             &["verbose"],
         )
         .unwrap();
@@ -125,13 +131,16 @@ mod tests {
         assert_eq!(a.option("output"), Some("out.blz"));
         assert!(a.has_flag("verbose"));
         assert!(!a.has_flag("quiet"));
+        // Undeclared names are errors, not ignored; `-o` needs `output`.
+        assert!(Args::parse(&sv(&["--shpae", "4x4"]), &["shape"], &[]).is_err());
+        assert!(Args::parse(&sv(&["-o", "out.blz"]), &["shape"], &[]).is_err());
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&sv(&["--shape"]), &[]).is_err());
-        assert!(Args::parse(&sv(&["-o"]), &[]).is_err());
-        assert!(Args::parse(&sv(&["-x"]), &[]).is_err());
+        assert!(Args::parse(&sv(&["--shape"]), &["shape"], &[]).is_err());
+        assert!(Args::parse(&sv(&["-o"]), &["output"], &[]).is_err());
+        assert!(Args::parse(&sv(&["-x"]), &[], &[]).is_err());
     }
 
     #[test]

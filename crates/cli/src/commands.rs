@@ -23,6 +23,7 @@ USAGE:
   blazr tune       <in.f64> --shape DxHxW --target-linf EPS
   blazr store ingest <in.f64> --shape DxHxW --chunk-rows R -o <out.blzs>
                    [--block 8x8] [--float f32] [--index i16]
+                   [--transform dct] [--keep N]
   blazr store query  <store.blzs> [--from L] [--to L] [--min V] [--max V]
                    [--mean-min V] [--mean-max V] [--agg mean] [--full-scan]
                    [--degraded]
@@ -35,6 +36,7 @@ USAGE:
                    [--mode counters|spans] [--format json|prom]
   blazr help
 
+Every command rejects an option it does not list above (exit 1).
 Raw files are flat little-endian float64. Compressed files use the paper's
 §IV-C bit layout and embed their own type/shape/mask metadata. Store files
 (.blzs) hold many compressed chunks behind a zone-map index: `ingest`
@@ -109,6 +111,14 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
     }
 }
 
+/// The codec options `compress` and `store ingest` read through
+/// [`build_settings`] and their `--float`/`--index` choice.
+const CODEC_OPTIONS: &[&str] = &["float", "index", "block", "transform", "keep"];
+
+/// The query options `store query` and `telemetry` read through
+/// [`parse_query`].
+const QUERY_OPTIONS: &[&str] = &["from", "to", "min", "max", "mean-min", "mean-max", "agg"];
+
 fn build_settings(args: &Args, ndim: usize) -> Result<Settings, String> {
     let block = match args.option("block") {
         Some(b) => parse_shape(b)?,
@@ -127,7 +137,7 @@ fn build_settings(args: &Args, ndim: usize) -> Result<Settings, String> {
 }
 
 fn compress_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &[&["shape", "output"], CODEC_OPTIONS].concat(), &[])?;
     let input = args
         .positionals
         .first()
@@ -160,7 +170,7 @@ fn compress_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn decompress_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["output"], &[])?;
     let input = args
         .positionals
         .first()
@@ -186,7 +196,7 @@ fn load_compressed(path: &str) -> Result<blazr::dynamic::DynCompressed, String> 
 }
 
 fn info_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &[], &[])?;
     let input = args.positionals.first().ok_or("info needs an input file")?;
     let c = load_compressed(input)?;
     println!("file          : {input}");
@@ -199,7 +209,7 @@ fn info_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn stats_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &[], &[])?;
     let input = args
         .positionals
         .first()
@@ -219,7 +229,7 @@ fn fmt_res(r: Result<f64, blazr::BlazError>) -> String {
 }
 
 fn diff_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["wasserstein-p"], &[])?;
     let (a_path, b_path) = match &args.positionals[..] {
         [a, b] => (a, b),
         _ => return Err("diff needs exactly two compressed files".into()),
@@ -246,7 +256,7 @@ fn diff_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn tune_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["shape", "target-linf"], &[])?;
     let input = args.positionals.first().ok_or("tune needs an input file")?;
     let shape = parse_shape(args.require("shape")?)?;
     let target: f64 = args
@@ -287,7 +297,11 @@ fn store_cmd(argv: &[String]) -> Result<Outcome, String> {
 
 fn store_ingest_cmd(argv: &[String]) -> Result<(), String> {
     use blazr_store::StoreWriter;
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[&["shape", "chunk-rows", "output"], CODEC_OPTIONS].concat(),
+        &[],
+    )?;
     let input = args
         .positionals
         .first()
@@ -447,7 +461,7 @@ fn open_tolerant(
 
 fn store_query_cmd(argv: &[String]) -> Result<Outcome, String> {
     use blazr_store::StoreError;
-    let args = Args::parse(argv, &["full-scan", "degraded"])?;
+    let args = Args::parse(argv, QUERY_OPTIONS, &["full-scan", "degraded"])?;
     let input = args
         .positionals
         .first()
@@ -510,7 +524,11 @@ fn store_query_cmd(argv: &[String]) -> Result<Outcome, String> {
 /// taxonomy applies to what was served.
 fn serve_cmd(argv: &[String]) -> Result<Outcome, String> {
     use blazr_serve::{ServeConfig, Server, TcpTransport};
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &["addr", "workers", "queue", "deadline-ms", "max-requests"],
+        &[],
+    )?;
     let input = args.positionals.first().ok_or("serve needs a store file")?;
     let mut cfg = ServeConfig::default();
     if let Some(w) = args.option("workers") {
@@ -562,7 +580,7 @@ fn serve_cmd(argv: &[String]) -> Result<Outcome, String> {
 /// preambles first, so the verdict list covers whatever is recoverable.
 fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
     use blazr_store::{Store, StoreError};
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &[], &["json"])?;
     let input = args
         .positionals
         .first()
@@ -683,7 +701,7 @@ fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
 /// the destination.
 fn store_repair_cmd(argv: &[String]) -> Result<Outcome, String> {
     use blazr_store::{Store, StoreError, StoreWriter};
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["output"], &[])?;
     let input = args
         .positionals
         .first()
@@ -749,7 +767,11 @@ fn store_repair_cmd(argv: &[String]) -> Result<Outcome, String> {
 /// result goes to stderr, keeping stdout machine-parseable).
 fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
     use blazr_store::Store;
-    let args = Args::parse(argv, &["full-scan"])?;
+    let args = Args::parse(
+        argv,
+        &[QUERY_OPTIONS, &["mode", "format"]].concat(),
+        &["full-scan"],
+    )?;
     let input = args
         .positionals
         .first()
@@ -786,7 +808,7 @@ fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
 
 fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
     use blazr_store::Store;
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &[], &["json"])?;
     let input = args
         .positionals
         .first()
@@ -1233,6 +1255,16 @@ mod tests {
             "--full-scan",
         ]))
         .is_err());
+        // Misspelt options (the server's `value_lo` spelling, a typo)
+        // fail instead of answering an unfiltered query.
+        for argv in [
+            &["store", "query", blzs.to_str().unwrap(), "--value-lo", "3"][..],
+            &["telemetry", blzs.to_str().unwrap(), "--mni", "0"][..],
+            &["store", "stat", blzs.to_str().unwrap(), "--jsno"][..],
+        ] {
+            let err = run(&sv(argv)).unwrap_err();
+            assert!(err.contains("unknown option --"), "{argv:?}: {err}");
+        }
     }
 
     #[test]

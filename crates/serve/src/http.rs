@@ -1,6 +1,6 @@
 //! Just enough HTTP/1.1 for the query server: bounded head parsing with
 //! deadline-aware transient retries, `Connection: close` responses, and
-//! a tiny client (used by the chaos tests and the load generator).
+//! a tiny client (used by the tests and the ledger).
 //!
 //! Every read and write goes through [`with_retry`], which reuses the
 //! workspace-wide transient-vs-permanent classification from
@@ -338,7 +338,7 @@ pub fn write_response(
 }
 
 // ---------------------------------------------------------------------------
-// Client side (tests, load generator).
+// Client side (tests, the ledger).
 
 /// A response as the tiny client sees it.
 #[derive(Debug)]

@@ -11,7 +11,7 @@
 //!   a network adapter over the same `blazr_util::fault::Script` that
 //!   drives storage faults);
 //! * [`http`] — bounded request parsing, deadline-aware retried I/O,
-//!   and a tiny client for tests and load generation;
+//!   and a tiny client for tests and the ledger;
 //! * [`server`] — the bounded-queue thread pool: admission control
 //!   (`429` + `Retry-After` when full), per-request deadlines that
 //!   reach into the store scan via `Store::query_degraded_with`,

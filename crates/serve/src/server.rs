@@ -60,8 +60,9 @@ pub struct ServeConfig {
     /// How long a drain waits for in-flight requests before forcing
     /// shutdown.
     pub drain_timeout: Duration,
-    /// Self-drain after this many handled connections (load generators
-    /// and smoke tests; `None` = run until told to drain).
+    /// Self-drain after this many handled connections (`blazr serve
+    /// --max-requests` and smoke tests; `None` = run until told to
+    /// drain).
     pub max_requests: Option<u64>,
 }
 
@@ -183,8 +184,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Opens the store's chapter of threads: one acceptor plus
-    /// `cfg.workers` workers, fed from `listener`.
+    /// Starts serving `store`: one acceptor thread that takes
+    /// connections from `listener`, plus `cfg.workers` worker threads.
     pub fn start(store: Store, listener: Box<dyn Listener>, cfg: ServeConfig) -> io::Result<Self> {
         let addr = listener.local_addr();
         let workers_n = cfg.workers.max(1);

@@ -128,7 +128,7 @@ impl Listener for TcpTransport {
 }
 
 /// A [`Conn`] over a [`TcpStream`]. Also the client side: tests and the
-/// load generator connect with [`TcpConn::connect`].
+/// ledger connect with [`TcpConn::connect`].
 pub struct TcpConn(pub TcpStream);
 
 impl TcpConn {

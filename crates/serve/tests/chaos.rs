@@ -6,19 +6,24 @@
 //! panics, never leaks a worker or a queued connection, and always
 //! either answers a well-formed response or closes cleanly. After every
 //! injected fault the server must still answer a follow-up request
-//! bit-identically to a direct store query.
+//! bit-identically to a direct store query. A loopback TCP storm then
+//! checks the overload contract: shedding engages, no deadline overruns,
+//! and answers are degraded exactly when the store is bit-rotted.
 
 mod common;
 
+use blazr::{IndexType, ScalarType, Settings};
 use blazr_serve::http::http_get;
-use blazr_serve::transport::{FaultyTransport, MemTransport, TransportOp};
-use blazr_serve::{encode_query_body, ClientResponse, ServeConfig, Server};
-use blazr_store::{Aggregate, Query, Store};
+use blazr_serve::transport::{FaultyTransport, MemTransport, TcpConn, TcpTransport, TransportOp};
+use blazr_serve::{encode_query_body, ClientResponse, ServeConfig, Server, ServerStats};
+use blazr_store::{Aggregate, Query, Store, StoreWriter};
 use blazr_telemetry as tel;
+use blazr_tensor::NdArray;
 use blazr_util::fault::{Fault, Rule};
 use common::{corrupt_chunk, tmp_dir, write_store};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -184,63 +189,121 @@ fn fault_sweep_on_degraded_store() {
     sweep(&path, 206, &encode_query_body(&r, &report));
 }
 
-/// A concurrent storm against a small queue: every response the clients
-/// manage to read is well-formed, nothing panics, nothing leaks. (Load
-/// *statistics* live in the loadgen bench; this is the safety check.)
-#[test]
-fn concurrent_storm_stays_well_formed() {
-    let dir = tmp_dir("storm");
-    let path = write_store(&dir);
-    corrupt_chunk(&path, 1);
-    let mem = MemTransport::new();
+/// The storm's store: 8 chunks of 64x64 f32/i16 with 8x8 blocks. Its
+/// per-request decode work is what keeps a 2-worker, 4-slot queue
+/// shedding under 50 clients, so do not shrink it.
+fn write_storm_store(dir: &Path) -> PathBuf {
+    let path = dir.join("storm.blzs");
+    let mut w = StoreWriter::create(
+        &path,
+        Settings::new(vec![8, 8]).unwrap(),
+        ScalarType::F32,
+        IndexType::I16,
+    )
+    .unwrap();
+    for t in 0..8u64 {
+        let frame = NdArray::from_fn(vec![64, 64], |i| {
+            ((i[0] as f64 + t as f64) / 7.0).sin() + i[1] as f64 * 0.01
+        });
+        w.append(t, &frame).unwrap();
+    }
+    w.finish().unwrap();
+    path
+}
+
+/// One storm client request over loopback TCP, retrying the connect
+/// with backoff while the accept backlog is saturated. Status 0 means
+/// the connection closed without a parseable response.
+fn tcp_fetch(addr: &str) -> u16 {
+    for backoff_ms in [1u64, 2, 4, 8, 16, 32, 64, 128, 256, 512] {
+        if let Ok(mut conn) = TcpConn::connect(addr) {
+            return http_get(&mut conn, TARGET, CLIENT_TIMEOUT).map_or(0, |r| r.status);
+        }
+        std::thread::sleep(Duration::from_millis(backoff_ms));
+    }
+    0
+}
+
+/// One storm cell: a fresh server on an ephemeral loopback port,
+/// `clients` threads splitting 200 sequential requests between them,
+/// then a drain. Returns every status the clients saw and the drained
+/// server's stats.
+fn storm_cell(path: &Path, clients: usize) -> (Vec<u16>, ServerStats) {
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity: 4,
-        deadline: Duration::from_millis(500),
-        accept_poll: Duration::from_millis(1),
-        ..chaos_cfg()
+        ..ServeConfig::default()
     };
-    let server = Server::start(Store::open(&path).unwrap(), Box::new(mem.clone()), cfg).unwrap();
+    let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
+    let server = Server::start(Store::open(path).unwrap(), Box::new(listener), cfg).unwrap();
+    let addr = server.local_addr().to_string();
+    let barrier = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let (addr, barrier) = (addr.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                (0..200 / clients)
+                    .map(|_| tcp_fetch(&addr))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let statuses = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread panicked"))
+        .collect();
+    (statuses, server.shutdown())
+}
 
-    let mut handles = Vec::new();
-    for _ in 0..16 {
-        let mem = mem.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut outcomes = Vec::new();
-            for _ in 0..8 {
-                match run_exchange(&mem) {
-                    Ok(resp) => outcomes.push(resp.status),
-                    Err(_) => outcomes.push(0), // clean close
-                }
+/// A concurrent storm over loopback TCP against a 2-worker server with
+/// a 4-slot queue, at 10 and 50 clients, on an intact and a bit-rotted
+/// store. Per cell: every response is well-formed, no worker panics,
+/// no connection leaks, no deadline overruns (`504`), something is
+/// answered, answers are degraded (`206`) exactly when the store is
+/// bit-rotted, and 50 clients make the server shed (`429`). Each cell
+/// prints one `storm` line of counts: `served` is every answer (`200`
+/// or `206`), `degraded` the `206`s among them, `shed` the `429`s.
+/// Latency is the ledger's to measure.
+#[test]
+fn concurrent_storm_stays_well_formed() {
+    let dir = tmp_dir("storm");
+    let intact = write_storm_store(&dir);
+    let rotted = dir.join("rotted.blzs");
+    std::fs::copy(&intact, &rotted).unwrap();
+    corrupt_chunk(&rotted, 3);
+
+    for (kind, path) in [("intact", &intact), ("bit-rotted", &rotted)] {
+        for clients in [10, 50] {
+            let (statuses, stats) = storm_cell(path, clients);
+            let cell = format!("store={kind} clients={clients}");
+            let count = |s: u16| statuses.iter().filter(|&&x| x == s).count();
+            let (ok, degraded, shed) = (count(200), count(206), count(429));
+            println!(
+                "storm {cell} served={} degraded={degraded} shed={shed}",
+                ok + degraded
+            );
+            for &s in &statuses {
+                assert!(
+                    s == 0 || VALID_STATUSES.contains(&s),
+                    "{cell}: invalid status {s}"
+                );
             }
-            outcomes
-        }));
+            assert_eq!(stats.panics, 0, "{cell}: worker panicked");
+            assert_eq!(stats.in_flight, 0, "{cell}: leaked in-flight request");
+            assert_eq!(stats.queued, 0, "{cell}: leaked queued connection");
+            assert_eq!(count(504), 0, "{cell}: deadline overrun");
+            assert!(ok + degraded > 0, "{cell}: nothing was served");
+            if kind == "intact" {
+                assert_eq!(degraded, 0, "{cell}: intact store answered 206");
+            } else {
+                assert_eq!(ok, 0, "{cell}: bit-rotted store answered 200");
+            }
+            if clients == 50 {
+                assert!(shed > 0, "{cell}: no 429, shedding never engaged");
+            }
+        }
     }
-    let mut statuses = Vec::new();
-    for h in handles {
-        statuses.extend(h.join().expect("client thread panicked"));
-    }
-    for &s in &statuses {
-        assert!(
-            s == 0 || VALID_STATUSES.contains(&s),
-            "storm produced invalid status {s}"
-        );
-    }
-    assert!(
-        statuses.contains(&206),
-        "the degraded store should have answered at least one 206"
-    );
-
-    let stats = server.shutdown();
-    assert_eq!(stats.panics, 0);
-    assert_eq!(stats.in_flight, 0);
-    assert_eq!(stats.queued, 0);
-    println!(
-        "storm: {} requests, {} shed, {} served, zero panics/leaks",
-        statuses.len(),
-        stats.shed,
-        stats.served
-    );
 }
 
 /// Transient transport faults are absorbed by the shared retry policy

@@ -160,13 +160,17 @@ impl Query {
     }
 }
 
-/// The outcome of a query: the aggregate, its error bound against the
-/// original (pre-compression) data, and the pruning accounting.
+/// The outcome of a query: the aggregate, its binning-error bound, and
+/// the pruning accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// The aggregate value (NaN for mean/variance over zero chunks).
     pub value: f64,
-    /// §IV-D error-model bound on `|value − value_on_original_data|`.
+    /// §IV-D binning-error bound on `value`: it covers the rounding of
+    /// kept coefficients to bins only, not conversion into the working
+    /// precision, transform rounding or coefficients dropped by a
+    /// pruning mask (see [`ErrorBounds`]), so it does not yet bound
+    /// `|value − value_on_original_data|` (ROADMAP item 1).
     pub error_bound: f64,
     /// Merged statistics of the matching chunks.
     pub stats: ChunkStats,
@@ -332,6 +336,10 @@ impl Store {
         }
         let range = self.select(q.from_label, q.to_label);
         let chunks_in_range = range.len();
+        let rows_in_range: u64 = range
+            .clone()
+            .map(|i| self.entries()[i].zone.stats.count)
+            .sum();
 
         // Stage 2: prune on zone maps alone (footer data, no payload).
         // Pre-sized to the range so the query costs a fixed, small number
@@ -404,10 +412,6 @@ impl Store {
             })
             .collect();
 
-        let rows_in_range: u64 = self
-            .select(q.from_label, q.to_label)
-            .map(|i| self.entries()[i].zone.stats.count)
-            .sum();
         let mut stats = ChunkStats::empty();
         let mut bounds = ErrorBounds::exact();
         let mut matched_labels = Vec::with_capacity(scanned.len());

@@ -24,9 +24,9 @@ USAGE:
   blazr store ingest <in.f64> --shape DxHxW --chunk-rows R -o <out.blzs>
                    [--block 8x8] [--float f32] [--index i16]
                    [--transform dct] [--keep N]
-  blazr store query  <store.blzs> [--from L] [--to L] [--min V] [--max V]
-                   [--mean-min V] [--mean-max V] [--agg mean] [--full-scan]
-                   [--degraded]
+  blazr store query  <store.blzs> [--from L] [--to L] [--value-lo V]
+                   [--value-hi V] [--mean-lo V] [--mean-hi V] [--agg mean]
+                   [--full-scan] [--degraded]
   blazr store stat   <store.blzs> [--json]
   blazr store verify <store.blzs> [--json]
   blazr store repair <store.blzs> -o <out.blzs>
@@ -44,12 +44,13 @@ splits the input along axis 0 into chunks of --chunk-rows rows (labeled by
 start row), `query` aggregates in compressed space with zone-map pruning,
 and `stat` prints the index without touching any chunk payload.
 
-`verify` deep-scans a store (footer, then every chunk checksum + decode)
-and prints per-chunk verdicts; a damaged footer is salvaged from chunk
-preambles first. `repair` rewrites a clean store from every salvageable
-chunk via the atomic ingest path. `query --degraded` tolerates damaged
-chunks: the aggregate covers the surviving chunks and a degradation
-report says what was skipped.
+`query` prints its answer as one line of JSON, the same body GET /query
+returns. `verify` deep-scans a store (footer, then every chunk checksum +
+decode) and prints per-chunk verdicts; a damaged footer is salvaged from
+chunk preambles first. `repair` rewrites a clean store from every
+salvageable chunk via the atomic ingest path. `query --degraded`
+tolerates damaged chunks: the aggregate covers the surviving chunks and
+the answer's degradation fields say what was skipped.
 
 Store commands exit 0 when the data is clean, 10 when an answer was
 produced without some chunks (degraded), and 20 when the file is corrupt
@@ -61,9 +62,9 @@ body), 429 shed under load (with Retry-After), 503 draining, 504
 deadline exceeded mid-query.
 
 `serve` exposes the store read-only over HTTP/1.1: GET /query (the
-`store query` predicates under the keys from, to, value_lo, value_hi,
-mean_lo, mean_hi and agg, where agg defaults to sum rather than the CLI's
-mean; plus mode=strict|degraded and deadline_ms; other keys are ignored),
+`store query` options as keys from, to, value_lo, value_hi, mean_lo,
+mean_hi and agg, with agg defaulting to mean as in the CLI; plus
+mode=strict|degraded and deadline_ms; other keys are ignored),
 /healthz, /readyz (503 while draining), and /metrics (Prometheus text
 from the telemetry registry). With --max-requests N it drains itself
 after N connections and prints final server stats — handy for smoke
@@ -71,7 +72,7 @@ tests; otherwise it runs until killed.
 
 `telemetry` runs a store query with metric recording forced on and dumps
 the registry snapshot to stdout — JSON by default, Prometheus text with
---format prom (the human-readable query result goes to stderr). The same
+--format prom (the query's JSON answer goes to stderr). The same
 metrics are available in any run through BLAZR_TELEMETRY=counters|spans.";
 
 /// How a store-health-aware command found the data, mapped to a distinct
@@ -116,8 +117,11 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
 const CODEC_OPTIONS: &[&str] = &["float", "index", "block", "transform", "keep"];
 
 /// The query options `store query` and `telemetry` read through
-/// [`parse_query`].
-const QUERY_OPTIONS: &[&str] = &["from", "to", "min", "max", "mean-min", "mean-max", "agg"];
+/// [`query_of`]: the store's [`blazr_store::Query::KEYS`] with `_`
+/// spelled `-`.
+const QUERY_OPTIONS: &[&str] = &[
+    "from", "to", "value-lo", "value-hi", "mean-lo", "mean-hi", "agg",
+];
 
 fn build_settings(args: &Args, ndim: usize) -> Result<Settings, String> {
     let block = match args.option("block") {
@@ -361,69 +365,10 @@ fn store_ingest_cmd(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a [`blazr_store::Query`] from the shared `store query` /
-/// `telemetry` option set (`--from/--to/--min/--max/--mean-min/
-/// --mean-max/--agg`).
-fn parse_query(args: &Args) -> Result<blazr_store::Query, String> {
-    use blazr_store::{Aggregate, Predicate, Query};
-    let parse_f64 = |name: &str| -> Result<Option<f64>, String> {
-        args.option(name)
-            .map(|v| v.parse().map_err(|e| format!("bad --{name}: {e}")))
-            .transpose()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        Ok(match args.option(name) {
-            Some(v) => v.parse().map_err(|e| format!("bad --{name}: {e}"))?,
-            None => default,
-        })
-    };
-    let (vmin, vmax) = (parse_f64("min")?, parse_f64("max")?);
-    let (mmin, mmax) = (parse_f64("mean-min")?, parse_f64("mean-max")?);
-    let predicate = match (
-        vmin.is_some() || vmax.is_some(),
-        mmin.is_some() || mmax.is_some(),
-    ) {
-        (true, true) => {
-            return Err("give either --min/--max or --mean-min/--mean-max, not both".into())
-        }
-        (true, false) => Some(Predicate::ValueInRange {
-            lo: vmin.unwrap_or(f64::NEG_INFINITY),
-            hi: vmax.unwrap_or(f64::INFINITY),
-        }),
-        (false, true) => Some(Predicate::MeanInRange {
-            lo: mmin.unwrap_or(f64::NEG_INFINITY),
-            hi: mmax.unwrap_or(f64::INFINITY),
-        }),
-        (false, false) => None,
-    };
-    Ok(Query {
-        from_label: parse_u64("from", 0)?,
-        to_label: parse_u64("to", u64::MAX)?,
-        predicate,
-        aggregate: Aggregate::parse(args.option("agg").unwrap_or("mean"))
-            .map_err(|e| e.to_string())?,
-    })
-}
-
-/// The shared human-readable block for a query result.
-fn print_query_result(q: &blazr_store::Query, r: &blazr_store::QueryResult) {
-    println!("aggregate      : {:?}", q.aggregate);
-    println!("value          : {:.9e}", r.value);
-    println!("error bound    : {:.3e}", r.error_bound);
-    println!("elements       : {}", r.stats.count);
-    println!(
-        "chunks         : {} in range, {} pruned by zone maps, {} scanned, {} matched",
-        r.chunks_in_range,
-        r.chunks_pruned,
-        r.chunks_scanned,
-        r.matched_labels.len()
-    );
-    println!(
-        "prune ratio    : {:.1}% ({} payload bytes read)",
-        r.prune_ratio() * 100.0,
-        r.payload_bytes_read
-    );
-    println!("matched labels : {:?}", r.matched_labels);
+/// The query that the `store query` / `telemetry` options spell, read
+/// through the store's one parser, [`blazr_store::Query::parse`].
+fn query_of(args: &Args) -> Result<blazr_store::Query, String> {
+    blazr_store::Query::parse(|key| args.option(&key.replace('_', "-"))).map_err(|e| e.to_string())
 }
 
 /// Opens a store for a read command, salvaging on a damaged footer when
@@ -460,57 +405,47 @@ fn open_tolerant(
 }
 
 fn store_query_cmd(argv: &[String]) -> Result<Outcome, String> {
-    use blazr_store::StoreError;
+    let (out, outcome) = store_query_output(argv)?;
+    print!("{out}");
+    Ok(outcome)
+}
+
+/// `store query`'s stdout and exit outcome. The stdout is the JSON body
+/// GET /query answers with, strict or `--degraded`; it is empty when the
+/// store is corrupt (the reason goes to stderr).
+fn store_query_output(argv: &[String]) -> Result<(String, Outcome), String> {
+    use blazr_store::{encode_query_body, QueryOptions, StoreError};
     let args = Args::parse(argv, QUERY_OPTIONS, &["full-scan", "degraded"])?;
     let input = args
         .positionals
         .first()
         .ok_or("store query needs a store file")?;
-    let q = parse_query(&args)?;
-    let degraded = args.has_flag("degraded");
-    if degraded && args.has_flag("full-scan") {
+    let q = query_of(&args)?;
+    let opts = QueryOptions {
+        full_scan: args.has_flag("full-scan"),
+        degraded: args.has_flag("degraded"),
+        cancel: None,
+    };
+    if opts.degraded && opts.full_scan {
         return Err("store query: --degraded and --full-scan cannot be combined".into());
     }
-    let Some((store, mut outcome)) = open_tolerant(input, degraded)? else {
-        return Ok(Outcome::Corrupt);
+    let Some((store, outcome)) = open_tolerant(input, opts.degraded)? else {
+        return Ok((String::new(), Outcome::Corrupt));
     };
-    if degraded {
-        let (r, report) = store.query_degraded(&q).map_err(|e| e.to_string())?;
-        print_query_result(&q, &r);
-        // Always print the degradation summary (even when nothing was
-        // skipped) so the CLI output carries the same report fields the
-        // server puts in every /query response body.
-        println!(
-            "degraded       : {} chunks skipped, {}/{} rows unavailable ({:.1}%)",
-            report.skipped.len(),
-            report.rows_unavailable,
-            report.rows_in_range,
-            report.fraction_unavailable() * 100.0
-        );
-        if report.is_degraded() {
-            outcome = Outcome::Degraded;
-            for s in &report.skipped {
-                println!("  chunk {:>5}  {} rows  {}", s.label, s.rows, s.reason);
-            }
-            println!("bounds partial : {}", report.bounds_partial);
-        }
-        return Ok(outcome);
-    }
-    let r = if args.has_flag("full-scan") {
-        store.query_full_scan(&q)
-    } else {
-        store.query(&q)
-    };
-    match r {
-        Ok(r) => {
-            print_query_result(&q, &r);
-            Ok(outcome)
+    match store.run(&q, &opts) {
+        Ok((r, report)) => {
+            let outcome = if report.is_degraded() {
+                Outcome::Degraded
+            } else {
+                outcome
+            };
+            Ok((encode_query_body(&r, &report), outcome))
         }
         // Damaged chunk hit mid-scan: report it as corruption (exit 20)
         // rather than a generic failure, and point at degraded mode.
         Err(e @ StoreError::Corrupt(_)) => {
             eprintln!("{input}: {e} (rerun with --degraded to skip damaged chunks)");
-            Ok(Outcome::Corrupt)
+            Ok((String::new(), Outcome::Corrupt))
         }
         Err(e) => Err(e.to_string()),
     }
@@ -763,10 +698,10 @@ fn store_repair_cmd(argv: &[String]) -> Result<Outcome, String> {
 }
 
 /// `blazr telemetry`: run a store query with metric recording forced on
-/// and dump the registry snapshot to stdout (the human-readable query
-/// result goes to stderr, keeping stdout machine-parseable).
+/// and dump the registry snapshot to stdout (the query's JSON answer goes
+/// to stderr, keeping stdout one machine-parseable document).
 fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
-    use blazr_store::Store;
+    use blazr_store::{encode_query_body, QueryOptions, Store};
     let args = Args::parse(
         argv,
         &[QUERY_OPTIONS, &["mode", "format"]].concat(),
@@ -786,18 +721,14 @@ fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
         return Err(format!("unknown --format {format:?} (want json|prom)"));
     }
     tel::set_mode(mode);
-    let q = parse_query(&args)?;
+    let q = query_of(&args)?;
     let store = Store::open(input).map_err(|e| e.to_string())?;
-    let r = if args.has_flag("full-scan") {
-        store.query_full_scan(&q)
-    } else {
-        store.query(&q)
-    }
-    .map_err(|e| e.to_string())?;
-    eprintln!(
-        "query: value {:.9e} (error bound {:.3e}); {} scanned / {} pruned of {} chunks",
-        r.value, r.error_bound, r.chunks_scanned, r.chunks_pruned, r.chunks_in_range
-    );
+    let opts = QueryOptions {
+        full_scan: args.has_flag("full-scan"),
+        ..QueryOptions::default()
+    };
+    let (r, report) = store.run(&q, &opts).map_err(|e| e.to_string())?;
+    eprint!("{}", encode_query_body(&r, &report));
     let snap = tel::registry().snapshot();
     match format {
         "json" => print!("{}", snap.to_json()),
@@ -837,9 +768,8 @@ fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
         // chunks would cost in the paper's fixed-width layout (from a
         // verified header peek per chunk — no full payload decode).
         let mut counts = std::collections::BTreeMap::new();
-        for i in 0..store.len() {
-            let coder = store.try_chunk_coder(i).map_err(|e| e.to_string())?;
-            *counts.entry(coder.name()).or_insert(0usize) += 1;
+        for e in store.entries() {
+            *counts.entry(e.coder.name()).or_insert(0usize) += 1;
         }
         let coders: Vec<String> = counts.iter().map(|(n, c)| format!("{n}×{c}")).collect();
         println!("coders         : {}", coders.join(", "));
@@ -904,9 +834,8 @@ fn store_stat_json(input: &str, store: &blazr_store::Store) -> Result<String, St
     }
     let mut counts = std::collections::BTreeMap::new();
     let mut fixed_bits = 0u64;
-    for i in 0..store.len() {
-        let coder = store.try_chunk_coder(i).map_err(|e| e.to_string())?;
-        *counts.entry(coder.name()).or_insert(0usize) += 1;
+    for (i, e) in store.entries().iter().enumerate() {
+        *counts.entry(e.coder.name()).or_insert(0usize) += 1;
         fixed_bits += store
             .chunk_info(i)
             .map_err(|e| e.to_string())?
@@ -1077,9 +1006,9 @@ mod tests {
             "store",
             "query",
             blzs.to_str().unwrap(),
-            "--min",
+            "--value-lo",
             "40",
-            "--max",
+            "--value-hi",
             "50",
             "--agg",
             "mean",
@@ -1145,9 +1074,9 @@ mod tests {
         run(&sv(&[
             "telemetry",
             blzs.to_str().unwrap(),
-            "--min",
+            "--value-lo",
             "10",
-            "--max",
+            "--value-hi",
             "20",
         ]))
         .unwrap();
@@ -1221,9 +1150,9 @@ mod tests {
             "store",
             "query",
             blzs.to_str().unwrap(),
-            "--min",
+            "--value-lo",
             "0",
-            "--mean-min",
+            "--mean-lo",
             "0",
         ]))
         .is_err());
@@ -1240,9 +1169,9 @@ mod tests {
             "store",
             "query",
             blzs.to_str().unwrap(),
-            "--min",
+            "--value-lo",
             "5",
-            "--max",
+            "--value-hi",
             "1",
         ]))
         .is_err());
@@ -1255,16 +1184,69 @@ mod tests {
             "--full-scan",
         ]))
         .is_err());
-        // Misspelt options (the server's `value_lo` spelling, a typo)
-        // fail instead of answering an unfiltered query.
+        // The server's keys are the CLI's options: `--value-lo` filters.
+        assert_eq!(
+            run(&sv(&[
+                "store",
+                "query",
+                blzs.to_str().unwrap(),
+                "--value-lo",
+                "3"
+            ]))
+            .unwrap(),
+            Outcome::Clean
+        );
+        // Retired and misspelt options fail instead of answering an
+        // unfiltered query.
         for argv in [
-            &["store", "query", blzs.to_str().unwrap(), "--value-lo", "3"][..],
+            &["store", "query", blzs.to_str().unwrap(), "--min", "3"][..],
             &["telemetry", blzs.to_str().unwrap(), "--mni", "0"][..],
             &["store", "stat", blzs.to_str().unwrap(), "--jsno"][..],
         ] {
             let err = run(&sv(argv)).unwrap_err();
             assert!(err.contains("unknown option --"), "{argv:?}: {err}");
         }
+    }
+
+    #[test]
+    fn query_options_are_the_store_keys() {
+        let keys: Vec<String> = blazr_store::Query::KEYS
+            .iter()
+            .map(|k| k.replace('_', "-"))
+            .collect();
+        assert_eq!(QUERY_OPTIONS, keys);
+    }
+
+    #[test]
+    fn cli_options_and_http_params_parse_to_the_same_query() {
+        use blazr_serve::http::parse_request;
+        let cases: &[(&[&str], &str)] = &[
+            (&[], ""),
+            (
+                &["--from", "16", "--to", "47", "--agg", "sum"],
+                "from=16&to=47&agg=sum",
+            ),
+            (
+                &["--value-lo", "-0.5", "--value-hi", "2e3", "--agg", "count"],
+                "value_lo=-0.5&value_hi=2e3&agg=count",
+            ),
+            (&["--mean-lo", "1.5"], "mean_lo=1.5"),
+            (&["--mean-hi", "inf", "--agg", "l2"], "mean_hi=inf&agg=l2"),
+        ];
+        for (argv, params) in cases {
+            let args = Args::parse(&sv(argv), QUERY_OPTIONS, &[]).unwrap();
+            let cli = query_of(&args).unwrap();
+            let head = format!("GET /query?{params} HTTP/1.1\r\n\r\n");
+            let req = parse_request(head.as_bytes()).unwrap();
+            let http = blazr_store::Query::parse(|k| req.param(k)).unwrap();
+            assert_eq!(cli, http, "{argv:?} vs {params:?}");
+        }
+        // One default aggregate for both front ends.
+        let args = Args::parse(&[], QUERY_OPTIONS, &[]).unwrap();
+        assert_eq!(
+            query_of(&args).unwrap().aggregate,
+            blazr_store::Aggregate::Mean
+        );
     }
 
     #[test]
@@ -1443,6 +1425,12 @@ mod tests {
         let resp = get("/query?agg=sum");
         assert_eq!(resp.status, 206, "bit-rotted store must answer degraded");
         assert!(resp.body_text().contains("\"degraded\":true"));
+        // `store query` prints the very same body for the same query.
+        let p = blzs.to_str().unwrap();
+        let (stdout, outcome) =
+            store_query_output(&sv(&[p, "--degraded", "--agg", "sum"])).unwrap();
+        assert_eq!(outcome, Outcome::Degraded);
+        assert_eq!(stdout, resp.body_text());
         // After --max-requests the server drains itself and the command
         // exits with the degraded taxonomy code.
         assert_eq!(server.join().unwrap().unwrap(), Outcome::Degraded);

@@ -14,7 +14,7 @@
 //!   and a tiny client for tests and the ledger;
 //! * [`server`] — the bounded-queue thread pool: admission control
 //!   (`429` + `Retry-After` when full), per-request deadlines that
-//!   reach into the store scan via `Store::query_degraded_with`,
+//!   reach into the store scan through `QueryOptions::cancel`,
 //!   degraded-mode `206` responses carrying the `DegradationReport`,
 //!   `/healthz` / `/readyz` / `/metrics`, and graceful drain.
 
@@ -22,8 +22,9 @@ pub mod http;
 pub mod server;
 pub mod transport;
 
+pub use blazr_store::encode_query_body;
 pub use http::{http_get, ClientResponse, Deadline, Request, Response};
-pub use server::{encode_query_body, ServeConfig, Server, ServerStats};
+pub use server::{ServeConfig, Server, ServerStats};
 pub use transport::{
     Conn, FaultyTransport, Listener, MemConn, MemTransport, TcpConn, TcpTransport, TransportOp,
 };

@@ -9,15 +9,15 @@
 //! `Retry-After` when the queue is full, or answers `503` while
 //! draining. A worker pops the connection, reads the head under the
 //! request deadline (transient I/O faults retried via the shared
-//! [`RetryPolicy`]), runs the query through
-//! [`Store::query_degraded_with`] with a cancellation check wired to
-//! the same deadline (so a scan cannot overrun it by more than one
-//! chunk), and answers with the status contract:
+//! [`RetryPolicy`]), parses it with [`Query::parse`], runs it through
+//! [`Store::run`] with a cancellation check wired to the same deadline
+//! (so a scan cannot overrun it by more than one chunk, in either mode),
+//! and answers with the status contract:
 //!
 //! | status | meaning |
 //! |--------|---------|
 //! | `200`  | complete answer — no chunk quarantined |
-//! | `206`  | degraded answer — body carries the [`DegradationReport`] |
+//! | `206`  | degraded answer — body carries the `DegradationReport` |
 //! | `429`  | load shed at admission (`Retry-After` set) |
 //! | `503`  | draining (also `/healthz` during drain) |
 //! | `504`  | deadline expired mid-scan |
@@ -27,11 +27,9 @@
 //! request is counted (`serve.worker.panics`) and the worker survives —
 //! the chaos suite asserts the counter stays zero.
 
-use crate::http::{
-    escape_json, json_f64, parse_request, read_head, write_response, Deadline, Request, Response,
-};
+use crate::http::{parse_request, read_head, write_response, Deadline, Request, Response};
 use crate::transport::{Conn, Listener};
-use blazr_store::{Aggregate, DegradationReport, Predicate, Query, QueryResult, Store, StoreError};
+use blazr_store::{encode_query_body, Query, QueryOptions, Store, StoreError};
 use blazr_telemetry as tel;
 use blazr_util::retry::RetryPolicy;
 use std::collections::VecDeque;
@@ -491,9 +489,9 @@ fn route(shared: &Shared, req: &Request, deadline: &Deadline) -> Response {
 /// (mirroring `blazr store query` without `--degraded`); the default
 /// degraded mode quarantines damage and reports it with `206`.
 fn handle_query(shared: &Shared, req: &Request, deadline: &Deadline) -> Response {
-    let q = match parse_query_params(req) {
+    let q = match Query::parse(|key| req.param(key)) {
         Ok(q) => q,
-        Err(msg) => return Response::error(400, &msg),
+        Err(e) => return store_error_response(shared, e),
     };
     // A `deadline_ms` parameter tightens (never extends) the budget.
     let deadline = match req.param("deadline_ms").map(str::parse::<u64>) {
@@ -508,22 +506,20 @@ fn handle_query(shared: &Shared, req: &Request, deadline: &Deadline) -> Response
         }
         Some(Err(_)) => return Response::error(400, "deadline_ms: not an integer"),
     };
-    let strict = match req.param("mode") {
-        None | Some("degraded") => false,
-        Some("strict") => true,
+    let degraded = match req.param("mode") {
+        None | Some("degraded") => true,
+        Some("strict") => false,
         Some(other) => {
             return Response::error(400, &format!("mode: want strict|degraded, got {other:?}"))
         }
     };
-
-    if strict {
-        return match shared.store.query(&q) {
-            Ok(r) => Response::json(200, encode_query_body(&r, &DegradationReport::default())),
-            Err(e) => store_error_response(shared, e),
-        };
-    }
     let cancel = || deadline.expired();
-    match shared.store.query_degraded_with(&q, &cancel) {
+    let opts = QueryOptions {
+        degraded,
+        cancel: Some(&cancel),
+        ..QueryOptions::default()
+    };
+    match shared.store.run(&q, &opts) {
         Ok((r, report)) => {
             let status = if report.is_degraded() { 206 } else { 200 };
             if status == 206 {
@@ -546,90 +542,4 @@ fn store_error_response(shared: &Shared, e: StoreError) -> Response {
         }
         other => Response::error(500, &other.to_string()),
     }
-}
-
-/// Builds a [`Query`] from request parameters: `from`/`to` label
-/// bounds, `agg`, and an optional `value_lo`/`value_hi` or
-/// `mean_lo`/`mean_hi` predicate pair.
-fn parse_query_params(req: &Request) -> Result<Query, String> {
-    let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
-        match req.param(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{key}: not an integer")),
-        }
-    };
-    let parse_f64 = |key: &str| -> Result<Option<f64>, String> {
-        match req.param(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{key}: not a number")),
-        }
-    };
-    let from_label = parse_u64("from", 0)?;
-    let to_label = parse_u64("to", u64::MAX)?;
-    let aggregate =
-        Aggregate::parse(req.param("agg").unwrap_or("sum")).map_err(|e| e.to_string())?;
-    let value = (parse_f64("value_lo")?, parse_f64("value_hi")?);
-    let mean = (parse_f64("mean_lo")?, parse_f64("mean_hi")?);
-    let predicate = match (value, mean) {
-        ((None, None), (None, None)) => None,
-        ((lo, hi), (None, None)) => Some(Predicate::ValueInRange {
-            lo: lo.unwrap_or(f64::NEG_INFINITY),
-            hi: hi.unwrap_or(f64::INFINITY),
-        }),
-        ((None, None), (lo, hi)) => Some(Predicate::MeanInRange {
-            lo: lo.unwrap_or(f64::NEG_INFINITY),
-            hi: hi.unwrap_or(f64::INFINITY),
-        }),
-        _ => return Err("give value_lo/value_hi or mean_lo/mean_hi, not both".into()),
-    };
-    Ok(Query {
-        from_label,
-        to_label,
-        predicate,
-        aggregate,
-    })
-}
-
-/// Serializes a query result plus its degradation report as the JSON
-/// body both the server and its tests emit — keeping this in one place
-/// is what makes the chaos suite's bit-identity check meaningful.
-pub fn encode_query_body(r: &QueryResult, report: &DegradationReport) -> String {
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    out.push_str(&format!("\"value\":{}", json_f64(r.value)));
-    out.push_str(&format!(",\"error_bound\":{}", json_f64(r.error_bound)));
-    out.push_str(&format!(",\"rows\":{}", r.stats.count));
-    out.push_str(&format!(",\"chunks_in_range\":{}", r.chunks_in_range));
-    out.push_str(&format!(",\"chunks_pruned\":{}", r.chunks_pruned));
-    out.push_str(&format!(",\"chunks_scanned\":{}", r.chunks_scanned));
-    out.push_str(&format!(",\"prune_ratio\":{}", json_f64(r.prune_ratio())));
-    out.push_str(&format!(",\"payload_bytes_read\":{}", r.payload_bytes_read));
-    out.push_str(&format!(",\"degraded\":{}", report.is_degraded()));
-    out.push_str(&format!(
-        ",\"rows_unavailable\":{}",
-        report.rows_unavailable
-    ));
-    out.push_str(&format!(",\"rows_in_range\":{}", report.rows_in_range));
-    out.push_str(&format!(
-        ",\"fraction_unavailable\":{}",
-        json_f64(report.fraction_unavailable())
-    ));
-    out.push_str(&format!(",\"bounds_partial\":{}", report.bounds_partial));
-    out.push_str(",\"skipped\":[");
-    for (i, s) in report.skipped.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":{},\"rows\":{},\"reason\":\"{}\"}}",
-            s.label,
-            s.rows,
-            escape_json(&s.reason)
-        ));
-    }
-    out.push_str("]}\n");
-    out
 }

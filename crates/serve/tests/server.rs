@@ -261,14 +261,45 @@ fn request_deadline_cancels_the_scan_with_504() {
     let resp = mem_get(&listener, "/query?agg=sum&deadline_ms=0");
     assert_eq!(resp.status, 504, "body: {}", resp.body_text());
     assert!(resp.body_text().contains("deadline"));
+    // Strict mode honours the same deadline.
+    let resp = mem_get(&listener, "/query?agg=sum&mode=strict&deadline_ms=0");
+    assert_eq!(resp.status, 504, "body: {}", resp.body_text());
+    assert!(resp.body_text().contains("deadline"));
 
     // The deadline must not extend past the server's own budget.
     let resp = mem_get(&listener, "/query?agg=sum&deadline_ms=999999999");
     assert_eq!(resp.status, 200);
 
     let stats = server.shutdown();
-    assert!(stats.deadline_hits >= 1);
+    assert!(stats.deadline_hits >= 2);
     assert_eq!(stats.panics, 0);
+}
+
+/// On an intact store strict mode answers exactly what degraded mode
+/// does: the same status and the same body, report fields included.
+#[test]
+fn strict_body_matches_default_body_on_an_intact_store() {
+    let dir = tmp_dir("strict-body");
+    let path = write_store(&dir);
+    let listener = MemTransport::new();
+    let server = Server::start(
+        Store::open(&path).unwrap(),
+        Box::new(listener.clone()),
+        quick_cfg(),
+    )
+    .unwrap();
+    for target in [
+        "/query?agg=sum",
+        "/query?agg=mean&value_lo=-0.5&value_hi=0.5",
+    ] {
+        let default = mem_get(&listener, target);
+        let strict = mem_get(&listener, &format!("{target}&mode=strict"));
+        assert_eq!(default.status, 200, "{target}");
+        assert_eq!(strict.status, 200, "{target}");
+        assert_eq!(strict.body_text(), default.body_text(), "{target}");
+        assert!(!strict.body_text().contains("\"rows_in_range\":0,"));
+    }
+    server.shutdown();
 }
 
 #[test]

@@ -11,12 +11,14 @@
 //! * [`StoreWriter`] appends chunks (raw arrays compressed on the way
 //!   in, or already-compressed payloads passed through untouched) and
 //!   finishes with a checksummed index footer.
-//! * [`Store`] opens the file, reads the footer, and answers queries:
-//!   label-range selection, zone-map predicate pushdown, and
-//!   sum/mean/variance/L2 aggregation — all executed **in compressed
-//!   space**, chunk by chunk, with §IV-D error bounds propagated across
-//!   chunks and combined in chunk order (bit-deterministic at any thread
-//!   count).
+//! * [`Store`] opens the file, reads the footer, and answers queries
+//!   through one entry point, [`Store::run`]: label-range selection,
+//!   zone-map predicate pushdown, and sum/mean/variance/L2 aggregation —
+//!   all executed **in compressed space**, chunk by chunk, with §IV-D
+//!   error bounds propagated across chunks and combined in chunk order
+//!   (bit-deterministic at any thread count). [`Query::parse`] reads a
+//!   query from named parameters and [`encode_query_body`] writes the
+//!   answer as JSON; the CLI and the server share both.
 //! * [`write_series`]/[`Store::to_series`] bridge the in-memory
 //!   [`blazr::series::CompressedSeries`] to disk, so the paper's §VI
 //!   deviation and scission analyses ([`Store::largest_jump`],
@@ -25,7 +27,7 @@
 //!   with bounded backoff ([`RetryPolicy`]), a damaged footer salvages
 //!   from self-describing chunk preambles ([`Store::open_salvage`]),
 //!   and queries over a store with bad chunks can proceed in degraded
-//!   mode ([`Store::query_degraded`]) with a [`DegradationReport`]
+//!   mode ([`QueryOptions::degraded`]) with a [`DegradationReport`]
 //!   instead of an error. All I/O goes through the
 //!   [`blazr_util::vfs`] seam, so every failure mode is testable with
 //!   deterministic fault injection.
@@ -73,7 +75,10 @@ mod zonemap;
 
 pub use error::StoreError;
 pub use format::IndexEntry;
-pub use query::{Aggregate, DegradationReport, Predicate, Query, QueryResult, SkippedChunk};
+pub use query::{
+    encode_query_body, Aggregate, DegradationReport, Predicate, Query, QueryOptions, QueryResult,
+    SkippedChunk,
+};
 pub use store::{write_series, RetryPolicy, SalvageReport, Store};
 pub use writer::StoreWriter;
 pub use zonemap::ZoneMap;

@@ -1,5 +1,7 @@
 //! Query execution: label-range selection, zone-map predicate pushdown,
-//! and chunk-by-chunk compressed-space aggregation.
+//! and chunk-by-chunk compressed-space aggregation. [`Query::parse`],
+//! [`Store::run`] and [`encode_query_body`] are the one parser, runner
+//! and answer body behind `store query`, `telemetry` and `/query`.
 //!
 //! A query runs in three stages:
 //!
@@ -24,7 +26,7 @@ use crate::store::Store;
 use crate::zonemap::ZoneMap;
 use blazr::dynamic::DynCompressed;
 use blazr::ops::{ChunkStats, ErrorBounds};
-use blazr_telemetry as tel;
+use blazr_telemetry::{self as tel, escape_json, json_f64};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -149,6 +151,12 @@ pub struct Query {
 }
 
 impl Query {
+    /// The parameter keys [`Query::parse`] reads: the `/query` keys, and
+    /// the `store query`/`telemetry` options with `_` spelled `-`.
+    pub const KEYS: &'static [&'static str] = &[
+        "from", "to", "value_lo", "value_hi", "mean_lo", "mean_hi", "agg",
+    ];
+
     /// A query over every label with no predicate.
     pub fn all(aggregate: Aggregate) -> Self {
         Self {
@@ -158,6 +166,71 @@ impl Query {
             aggregate,
         }
     }
+
+    /// Builds a query from named parameters, looking each of
+    /// [`Query::KEYS`] up through `get`: `from`/`to` label bounds
+    /// (default: every label), `agg` (default `mean`), and at most one
+    /// predicate pair, `value_lo`/`value_hi` or `mean_lo`/`mean_hi`,
+    /// where a missing side is unbounded. Other keys are never read.
+    pub fn parse<'v>(get: impl Fn(&str) -> Option<&'v str>) -> Result<Self, StoreError> {
+        let label = |key: &str, default: u64| match get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| StoreError::InvalidArgument(format!("{key}: not an integer: {v:?}"))),
+        };
+        let bound = |key: &str| -> Result<Option<f64>, StoreError> {
+            get(key)
+                .map(|v| {
+                    v.parse().map_err(|_| {
+                        StoreError::InvalidArgument(format!("{key}: not a number: {v:?}"))
+                    })
+                })
+                .transpose()
+        };
+        let range = |lo: &str, hi: &str| -> Result<Option<(f64, f64)>, StoreError> {
+            Ok(match (bound(lo)?, bound(hi)?) {
+                (None, None) => None,
+                (lo, hi) => Some((lo.unwrap_or(f64::NEG_INFINITY), hi.unwrap_or(f64::INFINITY))),
+            })
+        };
+        let predicate = match (range("value_lo", "value_hi")?, range("mean_lo", "mean_hi")?) {
+            (Some((lo, hi)), None) => Some(Predicate::ValueInRange { lo, hi }),
+            (None, Some((lo, hi))) => Some(Predicate::MeanInRange { lo, hi }),
+            (None, None) => None,
+            (Some(_), Some(_)) => {
+                return Err(StoreError::InvalidArgument(
+                    "give value_lo/value_hi or mean_lo/mean_hi, not both".into(),
+                ))
+            }
+        };
+        Ok(Self {
+            from_label: label("from", 0)?,
+            to_label: label("to", u64::MAX)?,
+            predicate,
+            aggregate: Aggregate::parse(get("agg").unwrap_or("mean"))?,
+        })
+    }
+}
+
+/// How [`Store::run`] executes a query. The default is the pruned,
+/// strict scan of [`Store::query`].
+#[derive(Clone, Copy, Default)]
+pub struct QueryOptions<'a> {
+    /// Decode every chunk in the label range instead of pruning on zone
+    /// maps: the reference scan the pruned path must reproduce bit for
+    /// bit.
+    pub full_scan: bool,
+    /// Quarantine a chunk that fails to read, checksum-verify or decode
+    /// (counted in the [`DegradationReport`], excluded from the
+    /// aggregate) instead of failing the query.
+    pub degraded: bool,
+    /// Cooperative cancellation check, consulted **between chunks**: the
+    /// moment it returns true the scan stops decoding and the query fails
+    /// with [`StoreError::Cancelled`]. A server's request deadline reaches
+    /// the scan through it, so a query cannot overrun its deadline by
+    /// more than one chunk's decode time.
+    pub cancel: Option<&'a (dyn Fn() -> bool + Sync)>,
 }
 
 /// The outcome of a query: the aggregate, its binning-error bound, and
@@ -212,9 +285,9 @@ pub struct SkippedChunk {
     pub reason: String,
 }
 
-/// How much of the data a degraded query ([`Store::query_degraded`]) had
-/// to do without. An empty report (nothing skipped) means the answer is
-/// identical to a healthy [`Store::query`].
+/// How much of the data a degraded query ([`QueryOptions::degraded`])
+/// had to do without. An empty report (nothing skipped) means the answer
+/// is identical to a healthy [`Store::query`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DegradationReport {
     /// The quarantined chunks, in chunk order.
@@ -264,52 +337,42 @@ impl Store {
     /// rule out are decoded. The result is bit-identical to
     /// [`Store::query_full_scan`].
     pub fn query(&self, q: &Query) -> Result<QueryResult, StoreError> {
-        Ok(self.execute(q, true, false, None)?.0)
+        Ok(self.run(q, &QueryOptions::default())?.0)
     }
 
     /// Runs `q` decoding every chunk in the label range (the reference
     /// scan the pruned path must reproduce bit-for-bit).
     pub fn query_full_scan(&self, q: &Query) -> Result<QueryResult, StoreError> {
-        Ok(self.execute(q, false, false, None)?.0)
+        let full_scan = QueryOptions {
+            full_scan: true,
+            ..QueryOptions::default()
+        };
+        Ok(self.run(q, &full_scan)?.0)
     }
 
-    /// Runs `q` tolerating damaged chunks: a chunk that fails to read,
-    /// checksum-verify, or decode is **quarantined** — counted in the
-    /// [`DegradationReport`] and excluded from the aggregate — instead of
-    /// failing the query. The result over the surviving chunks is
-    /// bit-identical to [`Store::query`] on a store holding only those
-    /// chunks, at any thread count. Caller errors (a bad label range)
-    /// still fail: degradation covers data damage, not misuse.
+    /// Runs `q` in degraded mode (see [`QueryOptions::degraded`]).
     pub fn query_degraded(
         &self,
         q: &Query,
     ) -> Result<(QueryResult, DegradationReport), StoreError> {
-        self.execute(q, true, true, None)
+        let degraded = QueryOptions {
+            degraded: true,
+            ..QueryOptions::default()
+        };
+        self.run(q, &degraded)
     }
 
-    /// [`Store::query_degraded`] with a cooperative cancellation check,
-    /// consulted **between chunks** during the scan stage: the moment
-    /// `cancel()` returns true, the query stops decoding further chunks
-    /// and fails with [`StoreError::Cancelled`]. This is the seam a
-    /// server's per-request deadline reaches the scan through — a query
-    /// over many chunks cannot overrun its deadline by more than one
-    /// chunk's decode time. A `cancel` that never fires is bit-identical
-    /// to [`Store::query_degraded`] (same code path, same chunk-order
-    /// fold).
-    pub fn query_degraded_with(
+    /// Runs `q` as `opts` says: the one query entry point behind
+    /// [`Store::query`], the CLI and the server. The report is filled in
+    /// every mode (in strict mode nothing is ever skipped). In degraded
+    /// mode the result over the surviving chunks is bit-identical to a
+    /// strict query on a store holding only those chunks, at any thread
+    /// count. Caller errors (a bad label range) and cancellation fail in
+    /// every mode: degradation covers data damage, not misuse.
+    pub fn run(
         &self,
         q: &Query,
-        cancel: &(dyn Fn() -> bool + Sync),
-    ) -> Result<(QueryResult, DegradationReport), StoreError> {
-        self.execute(q, true, true, Some(cancel))
-    }
-
-    fn execute(
-        &self,
-        q: &Query,
-        prune: bool,
-        tolerate: bool,
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
+        opts: &QueryOptions,
     ) -> Result<(QueryResult, DegradationReport), StoreError> {
         let _span = tel::span!("store.query");
         let allocs_before = if tel::counters_enabled() {
@@ -346,8 +409,8 @@ impl Store {
         // of allocations (these result vectors) however many chunks it
         // touches.
         let mut survivors: Vec<usize> = Vec::with_capacity(chunks_in_range);
-        survivors.extend(range.filter(|&i| match (&q.predicate, prune) {
-            (Some(p), true) => p.zone_may_match(&self.entries()[i].zone),
+        survivors.extend(range.filter(|&i| match (&q.predicate, opts.full_scan) {
+            (Some(p), false) => p.zone_may_match(&self.entries()[i].zone),
             _ => true,
         }));
         let chunks_pruned = chunks_in_range - survivors.len();
@@ -361,7 +424,7 @@ impl Store {
                 let entry = &self.entries()[i];
                 // Cooperative deadline check, between chunks: once the
                 // caller cancels, no further chunk is read or decoded.
-                if cancel.is_some_and(|c| c()) {
+                if opts.cancel.is_some_and(|c| c()) {
                     return Err(StoreError::Cancelled(format!(
                         "query cancelled before chunk {} (label {})",
                         i, entry.label
@@ -395,7 +458,7 @@ impl Store {
                     // they signal a caller bug or a caller deadline, not
                     // data damage.
                     Err(e)
-                        if tolerate
+                        if opts.degraded
                             && !matches!(
                                 e,
                                 StoreError::InvalidArgument(_) | StoreError::Cancelled(_)
@@ -476,4 +539,45 @@ impl Store {
         };
         Ok((result, report))
     }
+}
+
+/// The JSON body of one query answer: the result, then its degradation
+/// report. `/query` responds with it and `store query` prints it, so the
+/// two are byte-identical by construction.
+pub fn encode_query_body(r: &QueryResult, report: &DegradationReport) -> String {
+    let mut out = String::with_capacity(256);
+    out.push('{');
+    out.push_str(&format!("\"value\":{}", json_f64(r.value)));
+    out.push_str(&format!(",\"error_bound\":{}", json_f64(r.error_bound)));
+    out.push_str(&format!(",\"rows\":{}", r.stats.count));
+    out.push_str(&format!(",\"chunks_in_range\":{}", r.chunks_in_range));
+    out.push_str(&format!(",\"chunks_pruned\":{}", r.chunks_pruned));
+    out.push_str(&format!(",\"chunks_scanned\":{}", r.chunks_scanned));
+    out.push_str(&format!(",\"prune_ratio\":{}", json_f64(r.prune_ratio())));
+    out.push_str(&format!(",\"payload_bytes_read\":{}", r.payload_bytes_read));
+    out.push_str(&format!(",\"degraded\":{}", report.is_degraded()));
+    out.push_str(&format!(
+        ",\"rows_unavailable\":{}",
+        report.rows_unavailable
+    ));
+    out.push_str(&format!(",\"rows_in_range\":{}", report.rows_in_range));
+    out.push_str(&format!(
+        ",\"fraction_unavailable\":{}",
+        json_f64(report.fraction_unavailable())
+    ));
+    out.push_str(&format!(",\"bounds_partial\":{}", report.bounds_partial));
+    out.push_str(",\"skipped\":[");
+    for (i, s) in report.skipped.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"label\":{},\"rows\":{},\"reason\":\"{}\"}}",
+            s.label,
+            s.rows,
+            escape_json(&s.reason)
+        ));
+    }
+    out.push_str("]}\n");
+    out
 }

@@ -15,13 +15,12 @@
 //! # Panics vs errors
 //!
 //! Every way bytes can be wrong — truncation, bit rot, hostile footers,
-//! type mismatches — is a [`StoreError`], never a panic. Accessors that
-//! take a chunk index come in two flavors: the bare ones
-//! ([`Store::chunk_coder`], [`Store::zone_map`]) index like slices and
-//! panic on out-of-range (a caller bug), while the `try_` variants
-//! ([`Store::try_chunk_coder`], [`Store::try_zone_map`]) return
-//! [`StoreError::InvalidArgument`] for callers holding untrusted indices
-//! (the CLI uses these).
+//! type mismatches — is a [`StoreError`], never a panic. Footer facts
+//! about chunk `i` (label, coder, zone map) are fields of
+//! `entries()[i]`, indexed like any slice. Accessors that read chunk
+//! `i`'s payload ([`Store::chunk`], [`Store::chunk_bytes`],
+//! [`Store::chunk_info`]) return [`StoreError::InvalidArgument`] for an
+//! out-of-range index.
 
 use crate::error::{io_err, StoreError};
 use crate::format::{
@@ -33,7 +32,7 @@ use crate::zonemap::ZoneMap;
 use blazr::dynamic::{from_bytes_dyn_into, DynCompressed};
 use blazr::serialize::StreamInfo;
 use blazr::series::CompressedSeries;
-use blazr::{BinIndex, Coder, CompressedArray, IndexType, ScalarType};
+use blazr::{BinIndex, CompressedArray, IndexType, ScalarType};
 use blazr_precision::StorableReal;
 use blazr_telemetry as tel;
 use blazr_util::mmap::Mmap;
@@ -501,22 +500,6 @@ impl Store {
         })
     }
 
-    /// The entropy coder of chunk `i`'s index payload, from the footer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`, like slice indexing. Callers holding
-    /// untrusted indices want [`Store::try_chunk_coder`].
-    pub fn chunk_coder(&self, i: usize) -> Coder {
-        self.entries[i].coder
-    }
-
-    /// Checked [`Store::chunk_coder`]: an out-of-range index is an
-    /// [`StoreError::InvalidArgument`], not a panic.
-    pub fn try_chunk_coder(&self, i: usize) -> Result<Coder, StoreError> {
-        Ok(self.try_entry(i)?.coder)
-    }
-
     /// Number of chunks.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -535,22 +518,6 @@ impl Store {
     /// The chunk labels, in order.
     pub fn labels(&self) -> Vec<u64> {
         self.entries.iter().map(|e| e.label).collect()
-    }
-
-    /// The zone map of chunk `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`, like slice indexing. Callers holding
-    /// untrusted indices want [`Store::try_zone_map`].
-    pub fn zone_map(&self, i: usize) -> &ZoneMap {
-        &self.entries[i].zone
-    }
-
-    /// Checked [`Store::zone_map`]: an out-of-range index is an
-    /// [`StoreError::InvalidArgument`], not a panic.
-    pub fn try_zone_map(&self, i: usize) -> Result<&ZoneMap, StoreError> {
-        Ok(&self.try_entry(i)?.zone)
     }
 
     /// Total bytes of chunk payloads (excludes header, footer, trailer,

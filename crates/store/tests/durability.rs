@@ -84,7 +84,7 @@ fn roundtrip_preserves_chunks_and_zone_maps() {
         assert_eq!(c.shape(), frame.shape());
         // The stored zone map equals one recomputed from the payload.
         assert_eq!(
-            *store.zone_map(i),
+            store.entries()[i].zone,
             blazr_store::ZoneMap::of_dyn(&c).unwrap()
         );
         // And the decompressed chunk approximates the original frame.
@@ -248,7 +248,7 @@ fn corrupted_payload_fails_on_chunk_read_not_open() {
     let store = Store::from_bytes(bytes).unwrap(); // footer intact: opens
                                                    // Footer-only operations still work…
     assert_eq!(store.len(), data.len());
-    assert!(store.zone_map(victim).stats.count > 0);
+    assert!(store.entries()[victim].zone.stats.count > 0);
     // …but reading the damaged chunk fails loudly,
     match store.chunk(victim) {
         Err(StoreError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
@@ -366,10 +366,10 @@ fn fresh_files_record_per_chunk_coders() {
         let bytes = store.chunk_bytes(i).unwrap();
         assert_eq!(
             blazr::serialize::peek_coder(&bytes),
-            Some(store.chunk_coder(i)),
+            Some(store.entries()[i].coder),
             "chunk {i}"
         );
-        assert_eq!(store.chunk_info(i).unwrap().coder, store.chunk_coder(i));
+        assert_eq!(store.chunk_info(i).unwrap().coder, store.entries()[i].coder);
     }
 }
 
@@ -388,7 +388,7 @@ fn corrupted_rans_payload_fails_on_chunk_read() {
     write_store(&p, &data);
     let clean = Store::open(&p).unwrap();
     let victim = (0..clean.len())
-        .find(|&i| clean.chunk_coder(i) == blazr::Coder::Rans)
+        .find(|&i| clean.entries()[i].coder == blazr::Coder::Rans)
         .expect("smooth data should entropy-code");
     let e_offset = clean.entries()[victim].offset as usize;
     let e_len = clean.entries()[victim].len as usize;

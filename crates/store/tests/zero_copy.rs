@@ -203,22 +203,13 @@ fn payloads_are_aligned_and_the_preamble_gap_is_transparent() {
 }
 
 /// Regression: out-of-range chunk indices used to panic via direct
-/// indexing; the checked accessors (and every payload accessor) now
-/// return `InvalidArgument`.
+/// indexing; every payload accessor now returns `InvalidArgument`.
 #[test]
 fn out_of_range_chunk_indices_error_instead_of_panicking() {
     let p = tmp("range.blzs");
     write_store(&p, &frames(3));
     let store = Store::open(&p).unwrap();
     let n = store.len();
-    assert!(matches!(
-        store.try_chunk_coder(n),
-        Err(StoreError::InvalidArgument(_))
-    ));
-    assert!(matches!(
-        store.try_zone_map(n),
-        Err(StoreError::InvalidArgument(_))
-    ));
     assert!(matches!(
         store.chunk(n),
         Err(StoreError::InvalidArgument(_))
@@ -231,9 +222,6 @@ fn out_of_range_chunk_indices_error_instead_of_panicking() {
         store.chunk_info(n),
         Err(StoreError::InvalidArgument(_))
     ));
-    // In-range still works, through both flavors.
-    assert_eq!(store.try_chunk_coder(0).unwrap(), store.chunk_coder(0));
-    assert_eq!(store.try_zone_map(0).unwrap(), store.zone_map(0));
 }
 
 /// Regression: `largest_jump` panicked on NaN distances

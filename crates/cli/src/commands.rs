@@ -45,8 +45,12 @@ start row), `query` aggregates in compressed space with zone-map pruning,
 and `stat` prints the index without touching any chunk payload.
 
 `query` prints its answer as one line of JSON, the same body GET /query
-returns. `verify` deep-scans a store (footer, then every chunk checksum +
-decode) and prints per-chunk verdicts; a damaged footer is salvaged from
+returns. Where the zone maps decide the query (no predicate, or
+--mean-lo/--mean-hi), chunks are answered from the footer after their
+checksum check, without a decode; --full-scan decodes every chunk: the
+reference scan. `verify` deep-scans a store (footer, then every chunk
+checksum + decode, with each zone map checked against its payload) and
+prints per-chunk verdicts; a damaged footer is salvaged from
 chunk preambles first. `repair` rewrites a clean store from every
 salvageable chunk via the atomic ingest path. `query --degraded`
 tolerates damaged chunks: the aggregate covers the surviving chunks and
@@ -103,7 +107,7 @@ pub fn run(argv: &[String]) -> Result<Outcome, String> {
         "tune" => tune_cmd(rest).map(|()| Outcome::Clean),
         "store" => store_cmd(rest),
         "serve" => serve_cmd(rest),
-        "telemetry" => telemetry_cmd(rest).map(|()| Outcome::Clean),
+        "telemetry" => telemetry_cmd(rest),
         "help" | "--help" | "-h" => {
             println!("{HELP}");
             Ok(Outcome::Clean)
@@ -397,7 +401,29 @@ fn open_tolerant(
             }
         },
         Err(e @ StoreError::Corrupt(_)) => {
-            eprintln!("{input}: {e} (try --degraded, `store verify`, or `store repair`)");
+            eprintln!(
+                "{input}: {e} (try `store query --degraded`, `store verify`, or `store repair`)"
+            );
+            Ok(None)
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Runs a query for `store query` and `telemetry`. `Ok(None)` means a
+/// damaged chunk was hit mid-query: the reason and the degraded-mode hint
+/// were printed to stderr, and the command should exit with
+/// [`Outcome::Corrupt`] rather than fail as a usage error.
+fn run_query(
+    store: &blazr_store::Store,
+    input: &str,
+    q: &blazr_store::Query,
+    opts: &blazr_store::QueryOptions,
+) -> Result<Option<(blazr_store::QueryResult, blazr_store::DegradationReport)>, String> {
+    match store.run(q, opts) {
+        Ok(answer) => Ok(Some(answer)),
+        Err(e @ blazr_store::StoreError::Corrupt(_)) => {
+            eprintln!("{input}: {e} (rerun `store query` with --degraded to skip damaged chunks)");
             Ok(None)
         }
         Err(e) => Err(e.to_string()),
@@ -414,7 +440,7 @@ fn store_query_cmd(argv: &[String]) -> Result<Outcome, String> {
 /// GET /query answers with, strict or `--degraded`; it is empty when the
 /// store is corrupt (the reason goes to stderr).
 fn store_query_output(argv: &[String]) -> Result<(String, Outcome), String> {
-    use blazr_store::{encode_query_body, QueryOptions, StoreError};
+    use blazr_store::{encode_query_body, QueryOptions};
     let args = Args::parse(argv, QUERY_OPTIONS, &["full-scan", "degraded"])?;
     let input = args
         .positionals
@@ -432,23 +458,15 @@ fn store_query_output(argv: &[String]) -> Result<(String, Outcome), String> {
     let Some((store, outcome)) = open_tolerant(input, opts.degraded)? else {
         return Ok((String::new(), Outcome::Corrupt));
     };
-    match store.run(&q, &opts) {
-        Ok((r, report)) => {
-            let outcome = if report.is_degraded() {
-                Outcome::Degraded
-            } else {
-                outcome
-            };
-            Ok((encode_query_body(&r, &report), outcome))
-        }
-        // Damaged chunk hit mid-scan: report it as corruption (exit 20)
-        // rather than a generic failure, and point at degraded mode.
-        Err(e @ StoreError::Corrupt(_)) => {
-            eprintln!("{input}: {e} (rerun with --degraded to skip damaged chunks)");
-            Ok((String::new(), Outcome::Corrupt))
-        }
-        Err(e) => Err(e.to_string()),
-    }
+    let Some((r, report)) = run_query(&store, input, &q, &opts)? else {
+        return Ok((String::new(), Outcome::Corrupt));
+    };
+    let outcome = if report.is_degraded() {
+        Outcome::Degraded
+    } else {
+        outcome
+    };
+    Ok((encode_query_body(&r, &report), outcome))
 }
 
 /// `blazr serve`: expose a store read-only over HTTP/1.1 with bounded
@@ -510,11 +528,12 @@ fn serve_cmd(argv: &[String]) -> Result<Outcome, String> {
     Ok(outcome)
 }
 
-/// `blazr store verify`: deep-scan every chunk (checksum + full decode)
-/// and print per-chunk verdicts. A damaged footer is salvaged from chunk
+/// `blazr store verify`: deep-scan every chunk (checksum, full decode,
+/// and the footer zone map checked against the payload) and print
+/// per-chunk verdicts. A damaged footer is salvaged from chunk
 /// preambles first, so the verdict list covers whatever is recoverable.
 fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
-    use blazr_store::{Store, StoreError};
+    use blazr_store::{Store, StoreError, ZoneMap};
     let args = Args::parse(argv, &[], &["json"])?;
     let input = args
         .positionals
@@ -541,20 +560,28 @@ fn store_verify_cmd(argv: &[String]) -> Result<Outcome, String> {
         },
         Err(e) => return Err(e.to_string()),
     };
-    // Deep scan: every chunk is checksummed and fully decoded; the footer
-    // zone map only tells us what the writer *claimed*, so a verdict
-    // requires reading the payload back.
+    // Deep scan: every chunk is checksummed and fully decoded, and its
+    // zone map recomputed. The footer zone map only tells us what the
+    // writer *claimed*, and queries answer from it, so a verdict requires
+    // reading the payload back and matching the index bit for bit.
     let mut verdicts: Vec<(u64, u64, Option<String>)> = Vec::with_capacity(store.len());
     let mut bad = 0usize;
-    for i in 0..store.len() {
-        let e = &store.entries()[i];
-        match store.chunk(i) {
-            Ok(_) => verdicts.push((e.label, e.zone.stats.count, None)),
-            Err(err) => {
-                bad += 1;
-                verdicts.push((e.label, e.zone.stats.count, Some(err.to_string())));
-            }
+    for (i, e) in store.entries().iter().enumerate() {
+        let verdict = store
+            .chunk(i)
+            .and_then(|c| ZoneMap::of_dyn(&c).map_err(StoreError::from))
+            .map_err(|err| err.to_string())
+            .and_then(|zone| {
+                if zone.to_bits() == e.zone.to_bits() {
+                    Ok(())
+                } else {
+                    Err("zone map disagrees with payload".to_string())
+                }
+            });
+        if verdict.is_err() {
+            bad += 1;
         }
+        verdicts.push((e.label, e.zone.stats.count, verdict.err()));
     }
     let footer_intact = salvage.is_none();
     let damaged_preambles = salvage.as_ref().map_or(0, |(_, rep)| rep.damaged);
@@ -699,9 +726,11 @@ fn store_repair_cmd(argv: &[String]) -> Result<Outcome, String> {
 
 /// `blazr telemetry`: run a store query with metric recording forced on
 /// and dump the registry snapshot to stdout (the query's JSON answer goes
-/// to stderr, keeping stdout one machine-parseable document).
-fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
-    use blazr_store::{encode_query_body, QueryOptions, Store};
+/// to stderr, keeping stdout one machine-parseable document). A corrupt
+/// store exits as `store query` does: [`Outcome::Corrupt`], with the
+/// same hint on stderr and nothing on stdout.
+fn telemetry_cmd(argv: &[String]) -> Result<Outcome, String> {
+    use blazr_store::{encode_query_body, QueryOptions};
     let args = Args::parse(
         argv,
         &[QUERY_OPTIONS, &["mode", "format"]].concat(),
@@ -722,19 +751,23 @@ fn telemetry_cmd(argv: &[String]) -> Result<(), String> {
     }
     tel::set_mode(mode);
     let q = query_of(&args)?;
-    let store = Store::open(input).map_err(|e| e.to_string())?;
+    let Some((store, _)) = open_tolerant(input, false)? else {
+        return Ok(Outcome::Corrupt);
+    };
     let opts = QueryOptions {
         full_scan: args.has_flag("full-scan"),
         ..QueryOptions::default()
     };
-    let (r, report) = store.run(&q, &opts).map_err(|e| e.to_string())?;
+    let Some((r, report)) = run_query(&store, input, &q, &opts)? else {
+        return Ok(Outcome::Corrupt);
+    };
     eprint!("{}", encode_query_body(&r, &report));
     let snap = tel::registry().snapshot();
     match format {
         "json" => print!("{}", snap.to_json()),
         _ => print!("{}", snap.to_prometheus()),
     }
-    Ok(())
+    Ok(Outcome::Clean)
 }
 
 fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
@@ -881,6 +914,29 @@ mod tests {
         let dir = std::env::temp_dir().join("blazr-cli-cmd-tests");
         fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Ingests a 4-chunk store (8 rows of 8 per chunk, labels 0, 8, 16,
+    /// 24; row `r` holds the value `r`) and returns its path.
+    fn ingest_four_chunks(name: &str) -> std::path::PathBuf {
+        let raw = tmp(&format!("{name}.f64"));
+        let blzs = tmp(&format!("{name}.blzs"));
+        write_f64(&raw, &NdArray::from_fn(vec![32, 8], |i| i[0] as f64)).unwrap();
+        run(&sv(&[
+            "store",
+            "ingest",
+            raw.to_str().unwrap(),
+            "--shape",
+            "32x8",
+            "--chunk-rows",
+            "8",
+            "--block",
+            "8x8",
+            "-o",
+            blzs.to_str().unwrap(),
+        ]))
+        .unwrap();
+        blzs
     }
 
     #[test]
@@ -1047,24 +1103,7 @@ mod tests {
 
     #[test]
     fn store_stat_json_and_telemetry_commands() {
-        let raw = tmp("tele.f64");
-        let blzs = tmp("tele.blzs");
-        let a = NdArray::from_fn(vec![32, 8], |i| i[0] as f64);
-        write_f64(&raw, &a).unwrap();
-        run(&sv(&[
-            "store",
-            "ingest",
-            raw.to_str().unwrap(),
-            "--shape",
-            "32x8",
-            "--chunk-rows",
-            "8",
-            "--block",
-            "8x8",
-            "-o",
-            blzs.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let blzs = ingest_four_chunks("tele");
         run(&sv(&["store", "stat", blzs.to_str().unwrap(), "--json"])).unwrap();
         // The "file" field is escaped: `\q` is no JSON escape at all, and
         // a raw `\b` would silently decode as a backspace.
@@ -1251,24 +1290,7 @@ mod tests {
 
     #[test]
     fn store_verify_repair_and_degraded_query() {
-        let raw = tmp("fault.f64");
-        let blzs = tmp("fault.blzs");
-        let a = NdArray::from_fn(vec![32, 8], |i| i[0] as f64);
-        write_f64(&raw, &a).unwrap();
-        run(&sv(&[
-            "store",
-            "ingest",
-            raw.to_str().unwrap(),
-            "--shape",
-            "32x8",
-            "--chunk-rows",
-            "8",
-            "--block",
-            "8x8",
-            "-o",
-            blzs.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let blzs = ingest_four_chunks("fault");
         let p = blzs.to_str().unwrap();
 
         // Pristine store: everything reports clean.
@@ -1350,6 +1372,72 @@ mod tests {
     }
 
     #[test]
+    fn verify_checks_footer_zone_maps_against_payloads() {
+        use blazr_store::format::{encode_footer, encode_trailer};
+        let path = ingest_four_chunks("zone_lie");
+        let p = path.to_str().unwrap();
+        assert_eq!(run(&sv(&["store", "verify", p])).unwrap(), Outcome::Clean);
+
+        // Rewrite chunk 1's footer sum and recompute the footer checksum:
+        // the store opens cleanly and every payload checksum still holds,
+        // so only a recomputed zone map can tell the index lies.
+        let mut entries = blazr_store::Store::open(p).unwrap().entries().to_vec();
+        entries[1].zone.stats.sum += 1.0;
+        let footer = encode_footer(&entries);
+        let trailer = encode_trailer(&footer);
+        let mut bytes = fs::read(p).unwrap();
+        bytes.truncate(bytes.len() - footer.len() - trailer.len());
+        bytes.extend_from_slice(&footer);
+        bytes.extend_from_slice(&trailer);
+        fs::write(p, &bytes).unwrap();
+        let lying = blazr_store::Store::open(p).unwrap();
+        assert_eq!(lying.entries()[1].zone, entries[1].zone);
+        drop(lying);
+
+        assert_eq!(
+            run(&sv(&["store", "verify", p])).unwrap(),
+            Outcome::Degraded
+        );
+        assert_eq!(
+            run(&sv(&["store", "verify", p, "--json"])).unwrap(),
+            Outcome::Degraded
+        );
+    }
+
+    #[test]
+    fn telemetry_reports_a_corrupt_store_as_store_query_does() {
+        let path = ingest_four_chunks("tele_rot");
+        let p = path.to_str().unwrap();
+        assert_eq!(
+            run(&sv(&["telemetry", p, "--agg", "sum"])).unwrap(),
+            Outcome::Clean
+        );
+
+        // One flipped payload byte in chunk 0: the footer still opens, the
+        // query meets the checksum mismatch. Both commands exit 20.
+        let off = blazr_store::Store::open(p).unwrap().entries()[0].offset as usize;
+        let mut bytes = fs::read(p).unwrap();
+        bytes[off + 4] ^= 0xFF;
+        fs::write(p, &bytes).unwrap();
+        for argv in [
+            sv(&["store", "query", p, "--agg", "sum"]),
+            sv(&["telemetry", p, "--agg", "sum"]),
+            sv(&["telemetry", p, "--agg", "sum", "--full-scan"]),
+        ] {
+            assert_eq!(run(&argv).unwrap(), Outcome::Corrupt, "{argv:?}");
+        }
+
+        // A smashed trailer fails the open itself: still exit 20.
+        let n = bytes.len();
+        bytes[n - 16..].fill(0xAA);
+        fs::write(p, &bytes).unwrap();
+        for argv in [sv(&["store", "query", p]), sv(&["telemetry", p])] {
+            assert_eq!(run(&argv).unwrap(), Outcome::Corrupt, "{argv:?}");
+        }
+        tel::set_mode(tel::Mode::Off);
+    }
+
+    #[test]
     fn garbage_compressed_file_is_rejected() {
         let p = tmp("garbage.blz");
         fs::write(&p, [0x55u8; 100]).unwrap();
@@ -1361,24 +1449,7 @@ mod tests {
         use blazr_serve::{http_get, TcpConn};
         use std::time::Duration;
 
-        let raw = tmp("serve.f64");
-        let blzs = tmp("serve.blzs");
-        let a = NdArray::from_fn(vec![32, 8], |i| i[0] as f64);
-        write_f64(&raw, &a).unwrap();
-        run(&sv(&[
-            "store",
-            "ingest",
-            raw.to_str().unwrap(),
-            "--shape",
-            "32x8",
-            "--chunk-rows",
-            "8",
-            "--block",
-            "8x8",
-            "-o",
-            blzs.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let blzs = ingest_four_chunks("serve");
         // Bit-rot one chunk so served query answers are 206/degraded.
         let off = {
             let store = blazr_store::Store::open(&blzs).unwrap();

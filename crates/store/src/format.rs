@@ -152,10 +152,6 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 /// Encodes a footer (chunk count + index entries), without the trailer.
 pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * ENTRY_LEN);
@@ -166,13 +162,9 @@ pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
         push_u64(&mut out, e.len);
         push_u64(&mut out, e.payload_sum);
         push_u64(&mut out, e.coder.tag() as u64);
-        push_u64(&mut out, e.zone.stats.count);
-        push_f64(&mut out, e.zone.stats.sum);
-        push_f64(&mut out, e.zone.stats.sum_sq);
-        push_f64(&mut out, e.zone.stats.min_bound);
-        push_f64(&mut out, e.zone.stats.max_bound);
-        push_f64(&mut out, e.zone.bounds.linf);
-        push_f64(&mut out, e.zone.bounds.l2);
+        for bits in e.zone.to_bits() {
+            push_u64(&mut out, bits);
+        }
     }
     out
 }

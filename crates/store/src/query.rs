@@ -9,17 +9,26 @@
 //! 2. **Prune** — drop chunks whose zone map, widened by its error
 //!    bound, cannot satisfy the predicate. Pruned chunks' payload bytes
 //!    are never read.
-//! 3. **Scan** — decode the survivors in parallel, re-evaluate the
-//!    predicate *exactly* (per-block, still in compressed space), and
-//!    combine the matching chunks' [`ChunkStats`]/[`ErrorBounds`]
-//!    partials **in chunk order**.
+//! 3. **Answer** — fold the survivors' [`ChunkStats`]/[`ErrorBounds`]
+//!    partials **in chunk order**. Where the zone map decides the
+//!    predicate (none, or [`Predicate::MeanInRange`], whose exact test
+//!    *is* the zone test), each survivor is answered from its footer
+//!    zone map once its payload checksum passes, on the calling thread
+//!    and without a decode: the footer is the chunk's second compressed
+//!    form, and the determinism contract makes it bit-identical to what
+//!    a decode recomputes. A [`Predicate::ValueInRange`] query, and every
+//!    [`QueryOptions::full_scan`], decode the survivors in parallel,
+//!    re-evaluate the predicate *exactly* (per-block, still in compressed
+//!    space), and recompute the partials from the payload.
 //!
 //! Stage 3's exact re-evaluation is what makes pruning transparent: the
 //! zone map is a superset filter (its chunk-level hull covers every
 //! block envelope), so a pruned run and a full scan admit exactly the
 //! same chunks and — because partials combine in chunk order, per the
 //! PR-2 determinism contract — produce **bit-identical** aggregates at
-//! any thread count.
+//! any thread count. The full scan stays the decode-and-recompute
+//! reference that footer answers are tested against, and `store verify`
+//! checks every footer zone map against its decoded payload.
 
 use crate::error::StoreError;
 use crate::store::Store;
@@ -85,6 +94,13 @@ impl Predicate {
             Predicate::ValueInRange { lo, hi } => zone.may_contain_value(lo, hi),
             Predicate::MeanInRange { lo, hi } => zone.mean_may_be_in(lo, hi),
         }
+    }
+
+    /// True when the zone-map test is already the exact test
+    /// ([`Predicate::MeanInRange`]): a chunk that survives pruning
+    /// matches, so its answer can come from the footer without a decode.
+    pub fn zone_decides(&self) -> bool {
+        matches!(self, Predicate::MeanInRange { .. })
     }
 
     /// Exact test on a decoded chunk (still compressed-space: block
@@ -217,9 +233,10 @@ impl Query {
 /// strict scan of [`Store::query`].
 #[derive(Clone, Copy, Default)]
 pub struct QueryOptions<'a> {
-    /// Decode every chunk in the label range instead of pruning on zone
-    /// maps: the reference scan the pruned path must reproduce bit for
-    /// bit.
+    /// Decode every chunk in the label range: no zone-map pruning and no
+    /// answers from the footer. Each chunk's partials are recomputed from
+    /// its payload — the reference scan the default path must reproduce
+    /// bit for bit.
     pub full_scan: bool,
     /// Quarantine a chunk that fails to read, checksum-verify or decode
     /// (counted in the [`DegradationReport`], excluded from the
@@ -255,10 +272,16 @@ pub struct QueryResult {
     pub chunks_in_range: usize,
     /// Chunks skipped by zone-map pruning (payload never read).
     pub chunks_pruned: usize,
-    /// Chunks decoded and exactly evaluated.
+    /// Chunks that survived pruning and were answered: decoded and
+    /// exactly evaluated, or answered from their footer zone maps when
+    /// the zone map decides the predicate. Either way a function of the
+    /// query and the index alone.
     pub chunks_scanned: usize,
-    /// Payload bytes the scan stage read (survivor chunks' serialized
-    /// sizes; pruned chunks contribute nothing).
+    /// Payload bytes the answer stage covers: the survivor chunks'
+    /// serialized sizes (pruned chunks contribute nothing). A footer
+    /// answer reads a chunk's bytes only on its first touch, to hash
+    /// them, but this figure does not depend on which checksums are
+    /// already latched, so equal queries report equal bodies.
     pub payload_bytes_read: u64,
 }
 
@@ -334,14 +357,16 @@ fn variance_bound(stats: &ChunkStats, bounds: &ErrorBounds) -> f64 {
 
 impl Store {
     /// Runs `q` with zone-map pruning: only chunks the zone maps cannot
-    /// rule out are decoded. The result is bit-identical to
+    /// rule out are touched, and they are decoded only when the zone map
+    /// does not decide the predicate. The result is bit-identical to
     /// [`Store::query_full_scan`].
     pub fn query(&self, q: &Query) -> Result<QueryResult, StoreError> {
         Ok(self.run(q, &QueryOptions::default())?.0)
     }
 
     /// Runs `q` decoding every chunk in the label range (the reference
-    /// scan the pruned path must reproduce bit-for-bit).
+    /// scan the pruned and footer-answered path must reproduce
+    /// bit-for-bit).
     pub fn query_full_scan(&self, q: &Query) -> Result<QueryResult, StoreError> {
         let full_scan = QueryOptions {
             full_scan: true,
@@ -416,21 +441,29 @@ impl Store {
         let chunks_pruned = chunks_in_range - survivors.len();
         let payload_bytes_read: u64 = survivors.iter().map(|&i| self.entries()[i].len).sum();
 
-        // Stage 3: decode + exact predicate + partials, in parallel; each
-        // element is independent, and the fold below runs in chunk order.
-        let scanned: Vec<Result<Scanned, StoreError>> = survivors
-            .par_iter()
-            .map(|&i| {
-                let entry = &self.entries()[i];
-                // Cooperative deadline check, between chunks: once the
-                // caller cancels, no further chunk is read or decoded.
-                if opts.cancel.is_some_and(|c| c()) {
-                    return Err(StoreError::Cancelled(format!(
-                        "query cancelled before chunk {} (label {})",
-                        i, entry.label
-                    )));
-                }
-                let outcome = SCAN_SCRATCH.with(|cell| {
+        // Stage 3: partials of the survivors, folded in chunk order. A
+        // chunk is answered from its footer zone map when the zone map
+        // decides the predicate; otherwise it is decoded.
+        let from_footer = !opts.full_scan && q.predicate.is_none_or(|p| p.zone_decides());
+        let answer = |i: usize| -> Result<Scanned, StoreError> {
+            let entry = &self.entries()[i];
+            // Cooperative deadline check, between chunks: once the caller
+            // cancels, no further chunk is read or decoded.
+            if opts.cancel.is_some_and(|c| c()) {
+                return Err(StoreError::Cancelled(format!(
+                    "query cancelled before chunk {} (label {})",
+                    i, entry.label
+                )));
+            }
+            let outcome = if from_footer {
+                // Every survivor matches (the zone test is the exact
+                // test), and the footer holds the partials a decode would
+                // recompute, bit for bit. Only the payload checksum is
+                // checked, so bit rot still fails or quarantines the chunk.
+                self.verify_chunk(i)
+                    .map(|()| Scanned::Match(entry.label, entry.zone.stats, entry.zone.bounds))
+            } else {
+                SCAN_SCRATCH.with(|cell| {
                     let slot = &mut *cell.borrow_mut();
                     self.chunk_into(i, slot)?;
                     let c = slot.as_ref().expect("chunk_into fills the slot");
@@ -444,36 +477,44 @@ impl Store {
                     // Recompute (not copy) the partials from the payload:
                     // the determinism contract makes them equal the stored
                     // zone map bit-for-bit, and recomputing keeps the full
-                    // scan an honest reference for index corruption too.
-                    // The sequential fold is bit-identical to the parallel
+                    // scan an honest reference for footer answers. The
+                    // sequential fold is bit-identical to the parallel
                     // `stats_partial` (same per-block arithmetic, same
                     // order) and allocation-free — the chunks themselves
                     // already fan out across threads here.
                     let stats = c.stats_partial_seq()?;
                     Ok(Scanned::Match(entry.label, stats, c.error_bounds()))
-                });
-                match outcome {
-                    // A damaged chunk in degraded mode is quarantined, not
-                    // fatal. `InvalidArgument` and `Cancelled` stay fatal:
-                    // they signal a caller bug or a caller deadline, not
-                    // data damage.
-                    Err(e)
-                        if opts.degraded
-                            && !matches!(
-                                e,
-                                StoreError::InvalidArgument(_) | StoreError::Cancelled(_)
-                            ) =>
-                    {
-                        Ok(Scanned::Skipped {
-                            label: entry.label,
-                            rows: entry.zone.stats.count,
-                            reason: e.to_string(),
-                        })
-                    }
-                    other => other,
+                })
+            };
+            match outcome {
+                // A damaged chunk in degraded mode is quarantined, not
+                // fatal. `InvalidArgument` and `Cancelled` stay fatal:
+                // they signal a caller bug or a caller deadline, not data
+                // damage.
+                Err(e)
+                    if opts.degraded
+                        && !matches!(
+                            e,
+                            StoreError::InvalidArgument(_) | StoreError::Cancelled(_)
+                        ) =>
+                {
+                    Ok(Scanned::Skipped {
+                        label: entry.label,
+                        rows: entry.zone.stats.count,
+                        reason: e.to_string(),
+                    })
                 }
-            })
-            .collect();
+                other => other,
+            }
+        };
+        // Footer answers copy a few structs per chunk: they run inline,
+        // where a parallel team would cost more to start than the work.
+        // Decodes fan out across threads.
+        let scanned: Vec<Result<Scanned, StoreError>> = if from_footer {
+            survivors.iter().map(|&i| answer(i)).collect()
+        } else {
+            survivors.par_iter().map(|&i| answer(i)).collect()
+        };
 
         let mut stats = ChunkStats::empty();
         let mut bounds = ErrorBounds::exact();
@@ -510,6 +551,8 @@ impl Store {
             tel::counter!("store.queries").add(1);
             tel::counter!("store.chunks_pruned").add(chunks_pruned as u64);
             tel::counter!("store.chunks_scanned").add(survivors.len() as u64);
+            let decoded = if from_footer { 0 } else { survivors.len() };
+            tel::counter!("store.chunks_decoded").add(decoded as u64);
             tel::counter!("store.chunks_matched").add(matched_labels.len() as u64);
             tel::counter!("store.chunks_quarantined").add(skipped.len() as u64);
             tel::counter!("store.query.payload_bytes").add(payload_bytes_read);

@@ -546,14 +546,33 @@ impl Store {
             tel::count!("store.checksum.verified", 1);
             fnv1a64(bytes) == e.payload_sum
         });
+        self.checksum_verdict(i, ok)
+    }
+
+    /// Chunk `i`'s latched checksum verdict as a result: the one place a
+    /// failed verdict becomes an error, so every path reports it alike.
+    fn checksum_verdict(&self, i: usize, ok: bool) -> Result<(), StoreError> {
         if ok {
-            Ok(())
-        } else {
-            tel::count!("store.checksum.failed", 1);
-            Err(StoreError::Corrupt(format!(
-                "chunk {i} (label {}): payload checksum mismatch (stored {:#018x})",
-                e.label, e.payload_sum
-            )))
+            return Ok(());
+        }
+        let e = &self.entries[i];
+        tel::count!("store.checksum.failed", 1);
+        Err(StoreError::Corrupt(format!(
+            "chunk {i} (label {}): payload checksum mismatch (stored {:#018x})",
+            e.label, e.payload_sum
+        )))
+    }
+
+    /// Checksum-verifies chunk `i`'s payload without decoding it — what a
+    /// query answered from the footer zone maps checks in place of a
+    /// decode. A latched verdict costs one `OnceLock` load and reads no
+    /// bytes, on every backing; a first touch reads and hashes the
+    /// payload once, through [`Store::with_chunk_bytes`]. A mismatch is
+    /// the same [`StoreError::Corrupt`] a decode of the chunk meets.
+    pub fn verify_chunk(&self, i: usize) -> Result<(), StoreError> {
+        match self.checks.get(i).and_then(OnceLock::get) {
+            Some(&ok) => self.checksum_verdict(i, ok),
+            None => self.with_chunk_bytes(i, |_| ()),
         }
     }
 

@@ -45,6 +45,22 @@ impl ZoneMap {
         })
     }
 
+    /// The fields as raw bits, in footer order. Two zone maps are the
+    /// same exactly when their bits are: `==` on the floats would equate
+    /// `0.0` with `-0.0` and never a NaN with itself.
+    pub fn to_bits(&self) -> [u64; 7] {
+        let (s, b) = (&self.stats, &self.bounds);
+        [
+            s.count,
+            s.sum.to_bits(),
+            s.sum_sq.to_bits(),
+            s.min_bound.to_bits(),
+            s.max_bound.to_bits(),
+            b.linf.to_bits(),
+            b.l2.to_bits(),
+        ]
+    }
+
     /// Chunk mean (compressed-space, padding-corrected).
     pub fn mean(&self) -> f64 {
         self.stats.mean()

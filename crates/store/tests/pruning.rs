@@ -1,14 +1,34 @@
 //! Pruning correctness: a zone-map-pruned query must return results
 //! **bit-identical** to a full scan — the zone map, widened by its error
-//! bound, may never prune a chunk the exact evaluation would keep.
+//! bound, may never prune a chunk the exact evaluation would keep. The
+//! same holds for chunks answered from their footer zone maps instead of
+//! a decode, on every backing and under bit rot.
 
 use blazr::{IndexType, ScalarType, Settings};
-use blazr_store::{Aggregate, Predicate, Query, Store, StoreError, StoreWriter};
+use blazr_store::{Aggregate, Predicate, Query, QueryOptions, Store, StoreError, StoreWriter};
+use blazr_telemetry as tel;
 use blazr_tensor::NdArray;
 use blazr_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this file's tests: one of them reads exact deltas of the
+/// process-global telemetry counters, which a concurrent query would
+/// disturb.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+const AGGREGATES: [Aggregate; 5] = [
+    Aggregate::Count,
+    Aggregate::Sum,
+    Aggregate::Mean,
+    Aggregate::Variance,
+    Aggregate::L2Norm,
+];
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("blazr-store-pruning");
@@ -32,6 +52,11 @@ fn with_threads<R>(n: usize, op: impl FnOnce() -> R) -> R {
 /// chunks keep the envelopes tight — the same alignment advice column
 /// stores give for row-group statistics.
 fn ramp_store(name: &str, chunks: u64, noisy: bool) -> Store {
+    Store::open(write_ramp(name, chunks, noisy)).unwrap()
+}
+
+/// Writes [`ramp_store`]'s file and returns its path.
+fn write_ramp(name: &str, chunks: u64, noisy: bool) -> PathBuf {
     let p = tmp(name);
     let mut w = StoreWriter::create(
         &p,
@@ -55,7 +80,20 @@ fn ramp_store(name: &str, chunks: u64, noisy: bool) -> Store {
         w.append(t, &frame).unwrap();
     }
     w.finish().unwrap();
-    Store::open(&p).unwrap()
+    p
+}
+
+/// The store at `path` on each backing: memory-mapped, positional reads,
+/// and in memory.
+fn every_backing(path: &PathBuf) -> [(&'static str, Store); 3] {
+    [
+        ("mmap", Store::open(path).unwrap()),
+        ("file", Store::open_unmapped(path).unwrap()),
+        (
+            "memory",
+            Store::from_bytes(fs::read(path).unwrap()).unwrap(),
+        ),
+    ]
 }
 
 fn assert_bit_identical(a: &blazr_store::QueryResult, b: &blazr_store::QueryResult) {
@@ -75,6 +113,7 @@ fn assert_bit_identical(a: &blazr_store::QueryResult, b: &blazr_store::QueryResu
 /// at every thread count.
 #[test]
 fn pruned_query_is_bit_identical_and_prunes() {
+    let _serial = serial();
     let store = ramp_store("e2e.blzs", 8, true);
     let q = Query {
         from_label: 0,
@@ -101,6 +140,7 @@ fn pruned_query_is_bit_identical_and_prunes() {
 
 #[test]
 fn pruning_never_drops_chunks_with_matching_original_values() {
+    let _serial = serial();
     // Every original element sits inside its chunk's widened zone map, so
     // a point query at any original value must keep that chunk.
     let mut rng = Xoshiro256pp::seed_from_u64(13);
@@ -139,6 +179,7 @@ fn pruning_never_drops_chunks_with_matching_original_values() {
 
 #[test]
 fn mean_predicate_prunes_and_matches_full_scan() {
+    let _serial = serial();
     let store = ramp_store("meanpred.blzs", 8, false);
     let q = Query {
         from_label: 0,
@@ -155,6 +196,7 @@ fn mean_predicate_prunes_and_matches_full_scan() {
 
 #[test]
 fn label_range_and_predicate_compose() {
+    let _serial = serial();
     let store = ramp_store("compose.blzs", 10, true);
     let q = Query {
         from_label: 2,
@@ -215,6 +257,215 @@ fn label_range_and_predicate_compose() {
     }
 }
 
+/// Footer answers: with no predicate or a `MeanInRange` one, `query`
+/// answers each surviving chunk from its footer zone map instead of a
+/// decode. On every backing, at every thread count, over random label
+/// windows, every aggregate equals the decode-and-recompute full scan bit
+/// for bit.
+#[test]
+fn footer_answers_equal_the_decoded_scan() {
+    let _serial = serial();
+    const CHUNKS: u64 = 12;
+    let path = write_ramp("footer.blzs", CHUNKS, true);
+    let backings = every_backing(&path);
+    let mut rng = Xoshiro256pp::seed_from_u64(21);
+    let (mut compared, mut pruned, mut matched) = (0usize, 0usize, 0usize);
+    for _ in 0..6 {
+        let from = rng.below(CHUNKS);
+        let to = from + rng.below(CHUNKS - from);
+        // Chunk t's mean is near t, so this range keeps some chunks of
+        // most windows and prunes others.
+        let lo = rng.uniform_in(-1.0, CHUNKS as f64);
+        let hi = lo + rng.uniform_in(0.0, 6.0);
+        for predicate in [None, Some(Predicate::MeanInRange { lo, hi })] {
+            for aggregate in AGGREGATES {
+                let q = Query {
+                    from_label: from,
+                    to_label: to,
+                    predicate,
+                    aggregate,
+                };
+                for (_, store) in &backings {
+                    for n in [1usize, 2, 4, 8] {
+                        let (footer, full) = with_threads(n, || {
+                            (store.query(&q).unwrap(), store.query_full_scan(&q).unwrap())
+                        });
+                        assert_bit_identical(&footer, &full);
+                        assert_eq!(footer.chunks_in_range, full.chunks_in_range);
+                        if predicate.is_none() {
+                            assert_eq!(footer.chunks_scanned, full.chunks_scanned);
+                            assert_eq!(footer.payload_bytes_read, full.payload_bytes_read);
+                        }
+                        compared += 1;
+                        pruned += footer.chunks_pruned;
+                        matched += footer.matched_labels.len();
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        pruned > 0 && matched > 0,
+        "the windows never pruned or never matched"
+    );
+    println!(
+        "footer: {compared} footer answers bit-identical to the decoded scan \
+         (mmap/file/memory, 1/2/4/8 threads; {pruned} chunks pruned, {matched} matched)"
+    );
+}
+
+/// Bit rot under footer answers: one flipped payload byte. A strict query
+/// fails with the same error on the footer and the decode path; a
+/// degraded one quarantines exactly the chunks the decode path does, for
+/// the same reason, and answers bit-identically over the survivors —
+/// whichever path touches the rotten chunk first.
+#[test]
+fn footer_answers_quarantine_what_the_decode_path_does() {
+    let _serial = serial();
+    const VICTIM: usize = 3;
+    let clean = write_ramp("footer-rot-clean.blzs", 8, true);
+    let off = Store::open(&clean).unwrap().entries()[VICTIM].offset as usize;
+    let mut bytes = fs::read(&clean).unwrap();
+    bytes[off + 5] ^= 0x10;
+    let rotten = tmp("footer-rot.blzs");
+    fs::write(&rotten, &bytes).unwrap();
+
+    let decode = QueryOptions {
+        full_scan: true,
+        degraded: true,
+        cancel: None,
+    };
+    // Both queries keep the victim: the mean range covers its mean.
+    let queries = [
+        Query::all(Aggregate::Sum),
+        Query {
+            from_label: 1,
+            to_label: 6,
+            predicate: Some(Predicate::MeanInRange { lo: 2.5, hi: 4.5 }),
+            aggregate: Aggregate::Variance,
+        },
+    ];
+    let mut runs = 0usize;
+    for footer_first in [true, false] {
+        for (name, store) in every_backing(&rotten) {
+            for q in &queries {
+                let footer = || store.query_degraded(q).unwrap();
+                let decoded = || store.run(q, &decode).unwrap();
+                let ((fr, frep), (dr, drep)) = if footer_first {
+                    let f = footer();
+                    (f, decoded())
+                } else {
+                    let d = decoded();
+                    (footer(), d)
+                };
+                assert_eq!(frep, drep, "{name}: quarantine differs");
+                assert_eq!(frep.skipped.len(), 1, "{name}");
+                assert_eq!(frep.skipped[0].label, VICTIM as u64, "{name}");
+                assert_bit_identical(&fr, &dr);
+                let strict = store.query(q).unwrap_err();
+                assert!(matches!(strict, StoreError::Corrupt(_)), "{name}: {strict}");
+                assert_eq!(
+                    strict.to_string(),
+                    store.query_full_scan(q).unwrap_err().to_string(),
+                    "{name}: strict errors differ"
+                );
+                runs += 1;
+            }
+        }
+    }
+    println!(
+        "footer: {runs} degraded footer answers quarantined chunk {VICTIM} as the decode \
+         path does (mmap/file/memory, footer and decode first), answers bit-identical"
+    );
+}
+
+/// A value range is not decided by the zone map: a chunk whose hull
+/// overlaps the range while none of its blocks does survives pruning, and
+/// only the decode's per-block test rejects it. A footer answer would
+/// wrongly match it.
+#[test]
+fn value_range_rejects_a_chunk_the_zone_map_kept() {
+    let _serial = serial();
+    let p = tmp("gap.blzs");
+    let mut w = StoreWriter::create(
+        &p,
+        Settings::new(vec![4, 4]).unwrap(),
+        ScalarType::F32,
+        IndexType::I16,
+    )
+    .unwrap();
+    // Left block all 0, right block all 10: the hull spans [0, 10], no
+    // block comes near 5.
+    let frame = NdArray::from_fn(vec![4, 8], |i| if i[1] < 4 { 0.0 } else { 10.0 });
+    w.append(0, &frame).unwrap();
+    w.finish().unwrap();
+    let store = Store::open(&p).unwrap();
+    let q = Query {
+        from_label: 0,
+        to_label: 0,
+        predicate: Some(Predicate::ValueInRange { lo: 4.0, hi: 6.0 }),
+        aggregate: Aggregate::Count,
+    };
+    let r = store.query(&q).unwrap();
+    assert_eq!(
+        (r.chunks_pruned, r.chunks_scanned),
+        (0, 1),
+        "the zone map kept the chunk"
+    );
+    assert!(
+        r.matched_labels.is_empty(),
+        "the per-block test must reject it"
+    );
+    assert_bit_identical(&r, &store.query_full_scan(&q).unwrap());
+}
+
+/// A warm footer answer reads nothing: on the positional-read backing,
+/// the first query reads and hashes each payload once, and a second adds
+/// no chunk read, no hash, no decode and no parallel call.
+#[test]
+fn warm_footer_answers_read_no_payload_bytes() {
+    let _serial = serial();
+    const CHUNKS: u64 = 8;
+    let store = Store::open_unmapped(write_ramp("footer-warm.blzs", CHUNKS, false)).unwrap();
+    assert_eq!(store.backing_kind(), "file");
+    let counters = || {
+        let snap = tel::registry().snapshot();
+        [
+            "store.chunk_reads",
+            "store.checksum.verified",
+            "store.chunks_decoded",
+            "rayon.parallel_calls",
+        ]
+        .map(|name| snap.counter(name).unwrap_or(0))
+    };
+    let delta = |before: [u64; 4], after: [u64; 4]| [0, 1, 2, 3].map(|k| after[k] - before[k]);
+    let q = Query::all(Aggregate::Sum);
+    tel::set_mode(tel::Mode::Counters);
+    let (first, second, full) = with_threads(4, || {
+        let t0 = counters();
+        store.query(&q).unwrap();
+        let t1 = counters();
+        store.query(&q).unwrap();
+        let t2 = counters();
+        store.query_full_scan(&q).unwrap();
+        let t3 = counters();
+        (delta(t0, t1), delta(t1, t2), delta(t2, t3))
+    });
+    tel::set_mode(tel::Mode::Off);
+    assert_eq!(
+        first,
+        [CHUNKS, CHUNKS, 0, 0],
+        "first touch: reads, hashes, decodes, calls"
+    );
+    assert_eq!(
+        second,
+        [0, 0, 0, 0],
+        "warm footer answer touched the payload"
+    );
+    assert_eq!(full[1], 0, "the full scan re-hashed a latched chunk");
+    assert_eq!(full[2], CHUNKS, "the full scan must decode every chunk");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -233,6 +484,7 @@ proptest! {
         from in 0u64..3,
         span in 0u64..8,
     ) {
+        let _serial = serial();
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let p = tmp(&format!("prop-{seed}-{chunks}-{rows}x{cols}.blzs"));
         let mut w = StoreWriter::create(
@@ -268,13 +520,7 @@ proptest! {
             predicate: Some(Predicate::ValueInRange { lo, hi }),
             aggregate: Aggregate::Count,
         };
-        for agg in [
-            Aggregate::Count,
-            Aggregate::Sum,
-            Aggregate::Mean,
-            Aggregate::Variance,
-            Aggregate::L2Norm,
-        ] {
+        for agg in AGGREGATES {
             let q = Query { aggregate: agg, ..q_base };
             let pruned = store.query(&q).unwrap();
             let full = store.query_full_scan(&q).unwrap();

@@ -44,6 +44,11 @@ splits the input along axis 0 into chunks of --chunk-rows rows (labeled by
 start row), `query` aggregates in compressed space with zone-map pruning,
 and `stat` prints the index without touching any chunk payload.
 
+`diff` compares two compressed files in compressed space. Its
+Wasserstein order --wasserstein-p (default 2) must be >= 1; a smaller
+order or NaN is rejected (exit 1). NaN block means (e.g. f16 overflow)
+make the block-mean distances NaN.
+
 `query` prints its answer as one line of JSON, the same body GET /query
 returns. Where the zone maps decide the query (no predicate, or
 --mean-lo/--mean-hi), chunks are answered from the footer after their
@@ -242,20 +247,26 @@ fn diff_cmd(argv: &[String]) -> Result<(), String> {
         [a, b] => (a, b),
         _ => return Err("diff needs exactly two compressed files".into()),
     };
+    let p: f64 = match args.option("wasserstein-p") {
+        Some(v) => v.parse().map_err(|e| format!("bad --wasserstein-p: {e}"))?,
+        None => 2.0,
+    };
     let a = load_compressed(a_path)?;
     let b = load_compressed(b_path)?;
     let diff = a.sub(&b).map_err(|e| e.to_string())?;
+    // A bad order is a usage error; other failures (no DC coefficient)
+    // print as "unavailable" like the rest of the report.
+    let wasserstein = match a.wasserstein(&b, p) {
+        Err(e @ blazr::BlazError::InvalidArgument(_)) => return Err(e.to_string()),
+        r => r,
+    };
     println!("l2 distance        : {:.9e}", diff.l2_norm());
     println!("cosine similarity  : {}", fmt_res(a.cosine_similarity(&b)));
     println!(
         "ssim               : {}",
         fmt_res(a.ssim(&b, &SsimParams::default()))
     );
-    let p: f64 = match args.option("wasserstein-p") {
-        Some(v) => v.parse().map_err(|e| format!("bad --wasserstein-p: {e}"))?,
-        None => 2.0,
-    };
-    println!("wasserstein (p={p}) : {}", fmt_res(a.wasserstein(&b, p)));
+    println!("wasserstein (p={p}) : {}", fmt_res(wasserstein));
     println!(
         "approx Linf distance: {}",
         fmt_res(a.approx_linf_distance(&b))
@@ -1030,6 +1041,50 @@ mod tests {
         assert!(run(&sv(&["diff", "only-one.blz"])).is_err());
         assert!(run(&[]).is_err());
         assert!(run(&sv(&["help"])).is_ok());
+
+        // A Wasserstein order below 1, or NaN, is a usage error (exit 1),
+        // not a panic.
+        let compressed = |name: &str, a: &NdArray<f64>, float: &str| {
+            let raw = tmp(&format!("{name}.f64"));
+            let blz = tmp(&format!("{name}.blz"));
+            write_f64(&raw, a).unwrap();
+            run(&sv(&[
+                "compress",
+                raw.to_str().unwrap(),
+                "--shape",
+                &format!("{}x{}", a.shape()[0], a.shape()[1]),
+                "--block",
+                "8x8",
+                "--float",
+                float,
+                "--index",
+                "i16",
+                "-o",
+                blz.to_str().unwrap(),
+            ]))
+            .unwrap();
+            blz.to_str().unwrap().to_string()
+        };
+        let a = compressed(
+            "wp_a",
+            &NdArray::from_fn(vec![16, 16], |i| i[0] as f64),
+            "f32",
+        );
+        let b = compressed(
+            "wp_b",
+            &NdArray::from_fn(vec![16, 16], |i| i[1] as f64),
+            "f32",
+        );
+        for p in ["0.5", "nan"] {
+            let err = run(&sv(&["diff", &a, &b, "--wasserstein-p", p])).unwrap_err();
+            assert!(err.contains("must be >= 1"), "p={p}: {err}");
+        }
+        assert!(run(&sv(&["diff", &a, &b, "--wasserstein-p", "1"])).is_ok());
+        // NaN block means (f16 overflow) print NaN distances, no panic.
+        let hot = NdArray::from_fn(vec![8, 16], |i| if i[1] < 8 { 60000.0 } else { 1.0 });
+        let hot = compressed("wp_hot", &hot, "f16");
+        let ones = compressed("wp_ones", &NdArray::full(vec![8, 16], 1.0), "f16");
+        assert!(run(&sv(&["diff", &hot, &ones])).is_ok());
     }
 
     #[test]
@@ -1195,14 +1250,20 @@ mod tests {
             "0",
         ]))
         .is_err());
-        assert!(run(&sv(&[
-            "store",
-            "query",
-            blzs.to_str().unwrap(),
-            "--agg",
-            "median",
-        ]))
-        .is_err());
+        // One name per aggregate: `var` and `l2norm` are not aliases.
+        for agg in ["median", "var", "l2norm"] {
+            assert!(
+                run(&sv(&[
+                    "store",
+                    "query",
+                    blzs.to_str().unwrap(),
+                    "--agg",
+                    agg
+                ]))
+                .is_err(),
+                "--agg {agg}"
+            );
+        }
         // Inverted predicate bounds rejected.
         assert!(run(&sv(&[
             "store",

@@ -96,6 +96,8 @@ fn compress_fused<P: Real, I: BinIndex>(
     let src = converted.as_slice();
     let s = converted.shape();
     let bs = &settings.block_shape;
+    // `None` takes `bin_block`'s full-mask path.
+    let kept = (k != block_len).then_some(kept);
     // Cover a few thousand elements per piece before fanning out, like
     // `Blocked::partition`.
     let min_blocks = (2048 / block_len).max(1);
@@ -112,9 +114,7 @@ fn compress_fused<P: Real, I: BinIndex>(
                 sw.lap(tel::histogram!("codec.compress.gather"));
                 bt.forward(block, scratch);
                 sw.lap(tel::histogram!("codec.compress.transform"));
-                // `scratch` is free again after the transform; reuse it
-                // for the binning ratios.
-                *n_out = bin_block::<P, I>(block, kept, idx_out, scratch);
+                *n_out = bin_block::<P, I>(block, kept, idx_out);
                 sw.lap(tel::histogram!("codec.compress.bin"));
             },
         );
@@ -127,45 +127,40 @@ fn compress_fused<P: Real, I: BinIndex>(
     })
 }
 
-/// Steps (d)+(e) for one transformed block: computes `N = ‖C‖∞` and bins
-/// the kept coefficients into `idx_out`.
+/// Steps (d)+(e) for one block of coefficients: computes `N = ‖C‖∞` over
+/// the whole block (binning precedes pruning) and bins the coefficients
+/// at `kept` positions (`None`: every position, in order) into
+/// `idx_out`. Compression and the rebinning operations (Algorithms 2
+/// and 4) all bin through here.
 ///
-/// `ratios` is caller scratch of at least `block.len()` elements (the
-/// fused pass reuses the transform's ping-pong buffer). Splitting the
-/// divisions into their own pass over it lets them vectorize — IEEE
-/// division is correctly rounded in both scalar and SIMD form, so the
-/// ratios (and therefore the emitted bins) are unchanged.
+/// With every position kept, the block is divided by `N` in place in its
+/// own pass so the divisions vectorize — IEEE division is correctly
+/// rounded in both scalar and SIMD form, so the emitted bins are
+/// unchanged — which leaves `block` holding the ratios.
 #[inline]
-fn bin_block<P: Real, I: BinIndex>(
-    block: &[P],
-    kept: &[usize],
+pub(crate) fn bin_block<P: Real, I: BinIndex>(
+    block: &mut [P],
+    kept: Option<&[usize]>,
     idx_out: &mut [I],
-    ratios: &mut [P],
 ) -> P {
-    // N = ‖C‖∞ over the whole block (binning precedes pruning).
     let mut n = P::zero();
-    for &c in block {
+    for &c in block.iter() {
         n = n.max_val(c.abs());
     }
     if n == P::zero() {
         // All ratios would bin to the center; skip the per-coefficient
         // zero test and division entirely (`I::bin(0.0)` is exactly 0).
-        for v in idx_out.iter_mut() {
-            *v = I::from_i64(0);
-        }
-    } else if kept.len() == block.len() {
-        // Full mask: kept positions are exactly 0..block_len in order, so
-        // the position indirection drops out (same coefficients, same
-        // order, same bits).
-        for (r, &c) in ratios.iter_mut().zip(block) {
-            *r = c / n;
-        }
-        for (v, &q) in idx_out.iter_mut().zip(ratios.iter()) {
-            *v = I::bin(q.to_f64());
+        idx_out.fill(I::from_i64(0));
+    } else if let Some(kept) = kept {
+        for (v, &pos) in idx_out.iter_mut().zip(kept) {
+            *v = I::bin((block[pos] / n).to_f64());
         }
     } else {
-        for (slot, &pos) in kept.iter().enumerate() {
-            idx_out[slot] = I::bin((block[pos] / n).to_f64());
+        for c in block.iter_mut() {
+            *c = *c / n;
+        }
+        for (v, &q) in idx_out.iter_mut().zip(block.iter()) {
+            *v = I::bin(q.to_f64());
         }
     }
     n

@@ -227,13 +227,33 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
         Ok(())
     }
 
-    /// Ensures DC-based operations are possible.
-    pub(crate) fn require_dc(&self) -> Result<(), BlazError> {
-        if self.settings.dc_available() {
-            Ok(())
-        } else {
-            Err(BlazError::DcUnavailable)
+    /// The kept slot of the DC coefficient: the check every DC-based
+    /// operation starts with. Fails when the transform has no constant
+    /// basis vector or the mask dropped the DC coefficient.
+    pub(crate) fn dc_slot(&self) -> Result<usize, BlazError> {
+        match self.settings.mask.dc_kept_slot() {
+            Some(slot) if self.settings.dc_available() => Ok(slot),
+            _ => Err(BlazError::DcUnavailable),
         }
+    }
+
+    /// One block's specified-coefficient moments in `f64`, in slot order:
+    /// the DC coefficient, the energy `Σ c²`, and the AC energy
+    /// `Σ_{j≠DC} c²`. Block means, envelopes, block variances and the
+    /// zone-map partials all derive from this triple.
+    #[inline]
+    pub(crate) fn block_moments(&self, kb: usize, dc_slot: usize) -> (f64, f64, f64) {
+        let (mut dc, mut energy, mut ac_energy) = (0.0, 0.0, 0.0);
+        for slot in 0..self.kept_per_block() {
+            let c = self.coeff(kb, slot).to_f64();
+            energy += c * c;
+            if slot == dc_slot {
+                dc = c;
+            } else {
+                ac_energy += c * c;
+            }
+        }
+        (dc, energy, ac_energy)
     }
 }
 

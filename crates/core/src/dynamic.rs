@@ -107,11 +107,10 @@ macro_rules! dyn_compressed {
                 match self { $( Self::$variant(c) => c.stats_partial(), )+ }
             }
 
-            /// Sequential, allocation-free variant of
-            /// [`DynCompressed::stats_partial`] — bit-identical results
-            /// (see [`CompressedArray::stats_partial_seq`]).
+            /// Another name for [`DynCompressed::stats_partial`], which is
+            /// already the sequential, allocation-free fold.
             pub fn stats_partial_seq(&self) -> Result<crate::ops::ChunkStats, BlazError> {
-                match self { $( Self::$variant(c) => c.stats_partial_seq(), )+ }
+                self.stats_partial()
             }
 
             /// Allocation-free block-envelope overlap test (see
@@ -379,11 +378,33 @@ mod tests {
         let a = random_array(vec![16, 16], 11);
         let s = Settings::new(vec![4, 4]).unwrap();
         let c = compress_dyn(&a, &s, ScalarType::F32, IndexType::I16).unwrap();
-        assert_eq!(c.stats_partial().unwrap(), c.stats_partial_seq().unwrap());
         let envs = c.block_envelopes().unwrap();
         let (lo, hi) = (0.2, 0.4);
         let expect = envs.iter().any(|&(bl, bh)| bl <= hi && bh >= lo);
         assert_eq!(c.any_envelope_overlaps(lo, hi, 0.0).unwrap(), expect);
+    }
+
+    #[test]
+    fn dyn_distances_reject_bad_orders_and_keep_nan() {
+        let s = Settings::new(vec![8, 8]).unwrap();
+        let hot = NdArray::from_fn(vec![8, 16], |i| if i[1] < 8 { 60000.0 } else { 1.0 });
+        let ones = NdArray::full(vec![8, 16], 1.0);
+        let a = compress_dyn(&hot, &s, ScalarType::F16, IndexType::I16).unwrap();
+        let b = compress_dyn(&ones, &s, ScalarType::F16, IndexType::I16).unwrap();
+        for p in [0.5, f64::NAN] {
+            assert!(matches!(
+                a.wasserstein(&b, p),
+                Err(BlazError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                a.approx_lp_distance(&b, p),
+                Err(BlazError::InvalidArgument(_))
+            ));
+        }
+        assert!(a.wasserstein(&b, 2.0).unwrap().is_nan());
+        assert!(a.approx_lp_distance(&b, 2.0).unwrap().is_nan());
+        assert!(a.approx_linf_distance(&b).unwrap().is_nan());
+        assert_eq!(b.wasserstein(&b, 2.0).unwrap(), 0.0);
     }
 
     #[test]

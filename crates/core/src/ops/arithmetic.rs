@@ -2,6 +2,7 @@
 //! subtraction, scalar addition, scalar multiplication
 //! (Algorithms 1, 2, 4, 5).
 
+use crate::codec::bin_block;
 use crate::{BinIndex, BlazError, CompressedArray};
 use blazr_precision::Real;
 use rayon::prelude::*;
@@ -27,7 +28,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// The only new error is that rebinning.
     pub fn add(&self, other: &Self) -> Result<Self, BlazError> {
         self.check_compatible(other)?;
-        self.combine_coefficients(other, |a, b| a + b)
+        Ok(self.rebin(|kb, slot| self.coeff(kb, slot) + other.coeff(kb, slot)))
     }
 
     /// Element-wise subtraction: `self − other`. The paper realizes the
@@ -35,49 +36,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// coefficients in one pass (tested equivalent).
     pub fn sub(&self, other: &Self) -> Result<Self, BlazError> {
         self.check_compatible(other)?;
-        self.combine_coefficients(other, |a, b| a - b)
-    }
-
-    fn combine_coefficients(
-        &self,
-        other: &Self,
-        f: impl Fn(P, P) -> P + Send + Sync,
-    ) -> Result<Self, BlazError> {
-        let k = self.kept_per_block();
-        let n_blocks = self.block_count();
-        let mut biggest = vec![P::zero(); n_blocks];
-        let mut indices = vec![I::from_i64(0); n_blocks * k];
-        biggest
-            .par_iter_mut()
-            .zip(indices.par_chunks_mut(k))
-            .enumerate()
-            .with_min_len(32)
-            .for_each_init(
-                || vec![P::zero(); k],
-                |coeffs, (kb, (n_out, idx_out))| {
-                    let mut n = P::zero();
-                    for (slot, c_out) in coeffs.iter_mut().enumerate() {
-                        let c = f(self.coeff(kb, slot), other.coeff(kb, slot));
-                        *c_out = c;
-                        n = n.max_val(c.abs());
-                    }
-                    *n_out = n;
-                    for (&c, i_out) in coeffs.iter().zip(idx_out.iter_mut()) {
-                        let q = if n == P::zero() {
-                            0.0
-                        } else {
-                            (c / n).to_f64()
-                        };
-                        *i_out = I::bin(q);
-                    }
-                },
-            );
-        Ok(Self {
-            shape: self.shape.clone(),
-            settings: self.settings.clone(),
-            biggest,
-            indices,
-        })
+        Ok(self.rebin(|kb, slot| self.coeff(kb, slot) - other.coeff(kb, slot)))
     }
 
     /// Scalar addition (Algorithm 4): add `x·√(Πi)` to every block's DC
@@ -88,14 +47,23 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// indices out of range; we recompute `N` afterwards, matching
     /// Algorithm 2's convention.
     pub fn add_scalar(&self, x: f64) -> Result<Self, BlazError> {
-        self.require_dc()?;
-        let k = self.kept_per_block();
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
+        let dc_slot = self.dc_slot()?;
         let delta = P::from_f64(x * self.settings.dc_scale());
+        Ok(self.rebin(|kb, slot| {
+            let c = self.coeff(kb, slot);
+            if slot == dc_slot {
+                c + delta
+            } else {
+                c
+            }
+        }))
+    }
+
+    /// An array with this one's shape and settings whose kept slot `slot`
+    /// of block `kb` holds coefficient `coeff(kb, slot)`, binned afresh
+    /// per block (new `N`, new indices) by the codec's binning step.
+    fn rebin(&self, coeff: impl Fn(usize, usize) -> P + Send + Sync) -> Self {
+        let k = self.kept_per_block();
         let n_blocks = self.block_count();
         let mut biggest = vec![P::zero(); n_blocks];
         let mut indices = vec![I::from_i64(0); n_blocks * k];
@@ -106,33 +74,19 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
             .with_min_len(32)
             .for_each_init(
                 || vec![P::zero(); k],
-                |coeffs, (kb, (n_out, idx_out))| {
-                    let mut n = P::zero();
-                    for (slot, c_out) in coeffs.iter_mut().enumerate() {
-                        let mut c = self.coeff(kb, slot);
-                        if slot == dc_slot {
-                            c = c + delta;
-                        }
-                        *c_out = c;
-                        n = n.max_val(c.abs());
+                |block, (kb, (n_out, idx_out))| {
+                    for (slot, c) in block.iter_mut().enumerate() {
+                        *c = coeff(kb, slot);
                     }
-                    *n_out = n;
-                    for (&c, i_out) in coeffs.iter().zip(idx_out.iter_mut()) {
-                        let q = if n == P::zero() {
-                            0.0
-                        } else {
-                            (c / n).to_f64()
-                        };
-                        *i_out = I::bin(q);
-                    }
+                    *n_out = bin_block(block, None, idx_out);
                 },
             );
-        Ok(Self {
+        Self {
             shape: self.shape.clone(),
             settings: self.settings.clone(),
             biggest,
             indices,
-        })
+        }
     }
 
     /// Scalar multiplication (Algorithm 5): scale `N` by `|x|` and flip

@@ -15,13 +15,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// element count), faithful to the paper's `mean(Ĉ₁ ⊙ Ĉ₂)`.
     pub fn covariance(&self, other: &Self) -> Result<P, BlazError> {
         self.check_compatible(other)?;
-        self.require_dc()?;
-        other.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
+        let dc_slot = self.dc_slot()?;
 
         // Mean DC per array (the ā·√(Πi) correction of §IV-A-7). A plain
         // block-order fold: cheap enough that parallel dispatch would
@@ -35,34 +29,15 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
             }
             acc / nb
         };
-        let m1 = mean_dc(self);
-        let m2 = mean_dc(other);
-
-        // Per-block partial products in parallel, combined in block order
-        // (the deterministic fixed-shape reduction the parallelism tests
-        // rely on).
-        let k = self.kept_per_block();
-        let partials: Vec<P> = (0..self.block_count())
-            .into_par_iter()
-            .with_min_len(32)
-            .map(|kb| {
-                let mut acc = P::zero();
-                for slot in 0..k {
-                    let mut a = self.coeff(kb, slot);
-                    let mut b = other.coeff(kb, slot);
-                    if slot == dc_slot {
-                        a = a - m1;
-                        b = b - m2;
-                    }
-                    acc = acc + a * b;
-                }
-                acc
-            })
-            .collect();
-        let mut acc = P::zero();
-        for p in partials {
-            acc = acc + p;
-        }
+        let (m1, m2) = (mean_dc(self), mean_dc(other));
+        let acc = self.coeff_fold(|kb, slot| {
+            let (a, b) = (self.coeff(kb, slot), other.coeff(kb, slot));
+            if slot == dc_slot {
+                (a - m1) * (b - m2)
+            } else {
+                a * b
+            }
+        });
         let total = P::from_f64((self.block_count() * self.settings.block_len()) as f64);
         Ok(acc / total)
     }
@@ -81,27 +56,12 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// block-wise-centered coefficients, i.e. `(Σ_j c_j² − c_DC²) / Πi`.
     /// Returned in `f64`, one entry per block in block order.
     pub fn block_variances(&self) -> Result<Vec<f64>, BlazError> {
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
-        let k = self.kept_per_block();
+        let dc_slot = self.dc_slot()?;
         let len = self.settings.block_len() as f64;
         Ok((0..self.block_count())
             .into_par_iter()
             .with_min_len(32)
-            .map(|kb| {
-                let mut sum_sq = 0.0;
-                for slot in 0..k {
-                    let c = self.coeff(kb, slot).to_f64();
-                    if slot != dc_slot {
-                        sum_sq += c * c;
-                    }
-                }
-                sum_sq / len
-            })
+            .map(|kb| self.block_moments(kb, dc_slot).2 / len)
             .collect())
     }
 
@@ -116,12 +76,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// — i.e. `(Σ_j c1_j·c2_j − c1_DC·c2_DC) / Πi`.
     pub fn block_covariances(&self, other: &Self) -> Result<Vec<f64>, BlazError> {
         self.check_compatible(other)?;
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
+        let dc_slot = self.dc_slot()?;
         let k = self.kept_per_block();
         let len = self.settings.block_len() as f64;
         Ok((0..self.block_count())

@@ -26,7 +26,6 @@
 
 use crate::{BinIndex, BlazError, CompressedArray};
 use blazr_precision::Real;
-use rayon::prelude::*;
 
 /// Combinable compressed-space statistics of one array ("chunk").
 ///
@@ -149,34 +148,26 @@ impl ErrorBounds {
     }
 }
 
+/// A block's value envelope `(mean − spread, mean + spread)` from its DC
+/// coefficient and AC energy: `mean = DC/√(Πi)` and `spread = √(Σ_{j≠DC}
+/// c_j²)` (Cauchy–Schwarz against the transform's unit column norms).
+fn envelope(dc: f64, ac_energy: f64, dc_scale: f64) -> (f64, f64) {
+    let (mean, spread) = (dc / dc_scale, ac_energy.sqrt());
+    (mean - spread, mean + spread)
+}
+
 impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// Per-block value envelopes `(block_mean − spread, block_mean +
     /// spread)` with `spread = √(Σ_{j≠DC} c_j²)` (Cauchy–Schwarz against
     /// the transform's unit column norms), in block order. Every
     /// reconstructed element of block `kb` lies inside envelope `kb`.
     pub fn block_envelopes(&self) -> Result<Vec<(f64, f64)>, BlazError> {
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
-        let k = self.kept_per_block();
+        let dc_slot = self.dc_slot()?;
         let scale = self.settings.dc_scale();
         Ok((0..self.block_count())
-            .into_par_iter()
-            .with_min_len(32)
             .map(|kb| {
-                let mean = self.coeff(kb, dc_slot).to_f64() / scale;
-                let mut ac_energy = 0.0;
-                for slot in 0..k {
-                    if slot != dc_slot {
-                        let c = self.coeff(kb, slot).to_f64();
-                        ac_energy += c * c;
-                    }
-                }
-                let spread = ac_energy.sqrt();
-                (mean - spread, mean + spread)
+                let (dc, _, ac_energy) = self.block_moments(kb, dc_slot);
+                envelope(dc, ac_energy, scale)
             })
             .collect())
     }
@@ -185,95 +176,23 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// the DC coefficients, energy from `Σ Ĉ²`, and the block-envelope
     /// hull. Requires the DC coefficient (like [`CompressedArray::mean`]).
     ///
-    /// One fused pass over the coefficients (this sits on the store's
-    /// ingest and scan hot paths). Deterministic at any thread count:
-    /// per-block partials are combined in block order, in `f64` so
+    /// One sequential, allocation-free fold in block order, in `f64` so
     /// cross-chunk combining does not inherit narrow-precision
-    /// accumulation error.
+    /// accumulation error. It never starts a thread team, so the result
+    /// is the same at any thread count; a store scan fans out across
+    /// chunks instead.
     pub fn stats_partial(&self) -> Result<ChunkStats, BlazError> {
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
-        let k = self.kept_per_block();
+        let dc_slot = self.dc_slot()?;
         let scale = self.settings.dc_scale();
-        // Per block: (DC, total energy, envelope low, envelope high).
-        let per_block: Vec<(f64, f64, f64, f64)> = (0..self.block_count())
-            .into_par_iter()
-            .with_min_len(32)
-            .map(|kb| {
-                let dc = self.coeff(kb, dc_slot).to_f64();
-                let mut energy = 0.0;
-                let mut ac_energy = 0.0;
-                for slot in 0..k {
-                    let c = self.coeff(kb, slot).to_f64();
-                    energy += c * c;
-                    if slot != dc_slot {
-                        ac_energy += c * c;
-                    }
-                }
-                let mean = dc / scale;
-                let spread = ac_energy.sqrt();
-                (dc, energy, mean - spread, mean + spread)
-            })
-            .collect();
-        let mut dc_sum = 0.0;
-        let mut sum_sq = 0.0;
-        let mut min_bound = f64::INFINITY;
-        let mut max_bound = f64::NEG_INFINITY;
-        for &(dc, energy, lo, hi) in &per_block {
+        let (mut dc_sum, mut sum_sq) = (0.0, 0.0);
+        let (mut min_bound, mut max_bound) = (f64::INFINITY, f64::NEG_INFINITY);
+        for kb in 0..self.block_count() {
+            let (dc, energy, ac_energy) = self.block_moments(kb, dc_slot);
+            let (lo, hi) = envelope(dc, ac_energy, scale);
             dc_sum += dc;
             sum_sq += energy;
             min_bound = min_bound.min(lo);
             max_bound = max_bound.max(hi);
-        }
-        Ok(ChunkStats {
-            count: self.shape().iter().product::<usize>() as u64,
-            sum: dc_sum * scale,
-            sum_sq,
-            min_bound,
-            max_bound,
-        })
-    }
-
-    /// Sequential, allocation-free variant of
-    /// [`CompressedArray::stats_partial`]: the identical per-block
-    /// arithmetic folded in the identical block order — so the result is
-    /// bit-for-bit equal at any thread count — fused into one pass with
-    /// no per-block vector. This is the store's scan-loop entry point,
-    /// where per-chunk allocations would dominate the query cost.
-    pub fn stats_partial_seq(&self) -> Result<ChunkStats, BlazError> {
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
-        let k = self.kept_per_block();
-        let scale = self.settings.dc_scale();
-        let mut dc_sum = 0.0;
-        let mut sum_sq = 0.0;
-        let mut min_bound = f64::INFINITY;
-        let mut max_bound = f64::NEG_INFINITY;
-        for kb in 0..self.block_count() {
-            let dc = self.coeff(kb, dc_slot).to_f64();
-            let mut energy = 0.0;
-            let mut ac_energy = 0.0;
-            for slot in 0..k {
-                let c = self.coeff(kb, slot).to_f64();
-                energy += c * c;
-                if slot != dc_slot {
-                    ac_energy += c * c;
-                }
-            }
-            let mean = dc / scale;
-            let spread = ac_energy.sqrt();
-            dc_sum += dc;
-            sum_sq += energy;
-            min_bound = min_bound.min(mean - spread);
-            max_bound = max_bound.max(mean + spread);
         }
         Ok(ChunkStats {
             count: self.shape().iter().product::<usize>() as u64,
@@ -290,29 +209,13 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// collecting the envelopes and scanning them, but short-circuits on
     /// the first hit and allocates nothing.
     pub fn any_envelope_overlaps(&self, lo: f64, hi: f64, slack: f64) -> Result<bool, BlazError> {
-        self.require_dc()?;
-        let dc_slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
-        let k = self.kept_per_block();
+        let dc_slot = self.dc_slot()?;
         let scale = self.settings.dc_scale();
-        for kb in 0..self.block_count() {
-            let mean = self.coeff(kb, dc_slot).to_f64() / scale;
-            let mut ac_energy = 0.0;
-            for slot in 0..k {
-                if slot != dc_slot {
-                    let c = self.coeff(kb, slot).to_f64();
-                    ac_energy += c * c;
-                }
-            }
-            let spread = ac_energy.sqrt();
-            if mean - spread - slack <= hi && mean + spread + slack >= lo {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        Ok((0..self.block_count()).any(|kb| {
+            let (dc, _, ac_energy) = self.block_moments(kb, dc_slot);
+            let (bl, bh) = envelope(dc, ac_energy, scale);
+            bl - slack <= hi && bh + slack >= lo
+        }))
     }
 
     /// The §IV-D binning error-model bounds for this array (see
@@ -459,17 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_stats_are_bit_identical_to_parallel() {
-        for seed in 0..4 {
-            let a = random_array(vec![19, 23], 30 + seed); // padded shape
-            let c = compress::<f32, i16>(&a, &settings()).unwrap();
-            let par = c.stats_partial().unwrap();
-            let seq = c.stats_partial_seq().unwrap();
-            assert_eq!(par, seq, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn envelope_overlap_scan_matches_collected_envelopes() {
         let a = random_array(vec![20, 20], 40);
         let c = compress::<f64, i16>(&a, &settings()).unwrap();
@@ -502,7 +394,6 @@ mod tests {
             .unwrap();
         let c = compress::<f64, i16>(&a, &s).unwrap();
         assert!(c.stats_partial().is_err());
-        assert!(c.stats_partial_seq().is_err());
         assert!(c.any_envelope_overlaps(0.0, 1.0, 0.0).is_err());
         assert!(c.block_envelopes().is_err());
         let s2 = settings().with_transform(TransformKind::Identity);

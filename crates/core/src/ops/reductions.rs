@@ -11,10 +11,10 @@ use blazr_precision::Real;
 use rayon::prelude::*;
 
 impl<P: Real, I: BinIndex> CompressedArray<P, I> {
-    /// Sums `f(coeff_a, coeff_b)` over every kept coefficient, in `P`.
+    /// Sums `f(kb, slot)` over every block `kb` and kept slot, in `P`.
     /// Per-block partial sums are computed in parallel and combined in
-    /// block order, keeping results deterministic.
-    pub(crate) fn coeff_fold2(&self, other: &Self, f: impl Fn(P, P) -> P + Send + Sync) -> P {
+    /// block order, keeping results deterministic at any thread count.
+    pub(crate) fn coeff_fold(&self, f: impl Fn(usize, usize) -> P + Send + Sync) -> P {
         let k = self.kept_per_block();
         let partials: Vec<P> = (0..self.block_count())
             .into_par_iter()
@@ -22,28 +22,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
             .map(|kb| {
                 let mut acc = P::zero();
                 for slot in 0..k {
-                    acc = acc + f(self.coeff(kb, slot), other.coeff(kb, slot));
-                }
-                acc
-            })
-            .collect();
-        let mut total = P::zero();
-        for p in partials {
-            total = total + p;
-        }
-        total
-    }
-
-    /// Sums `f(coeff)` over every kept coefficient, in `P`.
-    pub(crate) fn coeff_fold(&self, f: impl Fn(P) -> P + Send + Sync) -> P {
-        let k = self.kept_per_block();
-        let partials: Vec<P> = (0..self.block_count())
-            .into_par_iter()
-            .with_min_len(32)
-            .map(|kb| {
-                let mut acc = P::zero();
-                for slot in 0..k {
-                    acc = acc + f(self.coeff(kb, slot));
+                    acc = acc + f(kb, slot);
                 }
                 acc
             })
@@ -57,12 +36,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
 
     /// Per-block DC coefficients `Ĉ…₁` (requires the DC slot).
     pub(crate) fn dc_coefficients(&self) -> Result<Vec<P>, BlazError> {
-        self.require_dc()?;
-        let slot = self
-            .settings
-            .mask
-            .dc_kept_slot()
-            .ok_or(BlazError::DcUnavailable)?;
+        let slot = self.dc_slot()?;
         // Each item is two loads and a multiply: only worth fanning out
         // for thousands of blocks (the min-length hint keeps small
         // gathers on the calling thread).
@@ -78,7 +52,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// products; zero-padded regions contribute (approximately) zero.
     pub fn dot(&self, other: &Self) -> Result<P, BlazError> {
         self.check_compatible(other)?;
-        Ok(self.coeff_fold2(other, |a, b| a * b))
+        Ok(self.coeff_fold(|kb, slot| self.coeff(kb, slot) * other.coeff(kb, slot)))
     }
 
     /// Mean (Algorithm 7): average the per-block DC coefficients and
@@ -117,7 +91,11 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
 
     /// L2 norm (Algorithm 10): `‖Ĉ‖₂`, exact thanks to orthonormality.
     pub fn l2_norm(&self) -> P {
-        self.coeff_fold(|c| c * c).sqrt()
+        self.coeff_fold(|kb, slot| {
+            let c = self.coeff(kb, slot);
+            c * c
+        })
+        .sqrt()
     }
 
     /// Cosine similarity (Algorithm 11): `⟨A,B⟩ / (‖A‖·‖B‖)`.

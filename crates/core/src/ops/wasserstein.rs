@@ -19,6 +19,7 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// paper sweeps p up to 80) do not underflow to zero.
     pub fn wasserstein(&self, other: &Self, p: f64) -> Result<f64, BlazError> {
         self.check_compatible(other)?;
+        check_order(p)?;
         let a = self.block_means()?;
         let b = other.block_means()?;
         Ok(wasserstein_1d(&a, &b, p))
@@ -34,11 +35,9 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// [`CompressedArray::approx_linf_distance`] for the p → ∞ limit.
     pub fn approx_lp_distance(&self, other: &Self, p: f64) -> Result<f64, BlazError> {
         self.check_compatible(other)?;
-        assert!(p >= 1.0, "order must be >= 1");
-        let a = self.block_means()?;
-        let b = other.block_means()?;
-        let diffs: Vec<f64> = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).collect();
-        let dmax = diffs.iter().cloned().fold(0.0, f64::max);
+        check_order(p)?;
+        let diffs = self.block_mean_diffs(other)?;
+        let dmax = max_or_nan(&diffs);
         if dmax == 0.0 {
             return Ok(0.0);
         }
@@ -51,18 +50,41 @@ impl<P: Real, I: BinIndex> CompressedArray<P, I> {
     /// [`CompressedArray::approx_lp_distance`] as p → ∞.
     pub fn approx_linf_distance(&self, other: &Self) -> Result<f64, BlazError> {
         self.check_compatible(other)?;
+        Ok(max_or_nan(&self.block_mean_diffs(other)?))
+    }
+
+    /// `|ā_k − b̄_k|` per block, in block order.
+    fn block_mean_diffs(&self, other: &Self) -> Result<Vec<f64>, BlazError> {
         let a = self.block_means()?;
         let b = other.block_means()?;
-        Ok(a.iter()
-            .zip(&b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max))
+        Ok(a.iter().zip(&b).map(|(x, y)| (x - y).abs()).collect())
     }
+}
+
+/// Rejects a distance order below 1, or NaN: the power mean is a norm
+/// only for `p ≥ 1`.
+fn check_order(p: f64) -> Result<(), BlazError> {
+    if p >= 1.0 {
+        Ok(())
+    } else {
+        Err(BlazError::InvalidArgument(format!(
+            "distance order p must be >= 1, got {p}"
+        )))
+    }
+}
+
+/// The largest of non-negative differences (0 for none), or NaN if any
+/// is NaN: a NaN block mean (f16 overflow) makes every distance NaN
+/// rather than vanish from a `max`.
+fn max_or_nan(diffs: &[f64]) -> f64 {
+    diffs
+        .iter()
+        .fold(0.0, |m, &d| if d > m || d.is_nan() { d } else { m })
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{compress, Settings};
+    use crate::{compress, BlazError, Settings, F16};
     use blazr_tensor::NdArray;
     use blazr_util::rng::Xoshiro256pp;
 
@@ -227,5 +249,49 @@ mod tests {
             ratio_p32 > ratio_p2,
             "peak separation should grow with p: p2 {ratio_p2} p32 {ratio_p32}"
         );
+    }
+
+    #[test]
+    fn orders_below_one_or_nan_are_invalid_arguments() {
+        let a = random_array(vec![16, 16], 20);
+        let c = compress::<f64, i16>(&a, &settings(4)).unwrap();
+        for p in [0.5, 0.0, -1.0, f64::NAN] {
+            assert!(
+                matches!(c.wasserstein(&c, p), Err(BlazError::InvalidArgument(_))),
+                "wasserstein p={p}"
+            );
+            assert!(
+                matches!(
+                    c.approx_lp_distance(&c, p),
+                    Err(BlazError::InvalidArgument(_))
+                ),
+                "approx_lp_distance p={p}"
+            );
+        }
+        assert_eq!(c.wasserstein(&c, 1.0).unwrap(), 0.0);
+        assert_eq!(c.approx_lp_distance(&c, f64::INFINITY).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn nan_block_means_make_every_distance_nan() {
+        // The paper's f16 overflow: a block of 60000s transforms past the
+        // f16 maximum, so its block mean is NaN. Two blocks here, then one.
+        let s = settings(8);
+        for cols in [16, 8] {
+            let a = NdArray::from_fn(vec![8, cols], |i| if i[1] < 8 { 60000.0 } else { 1.0 });
+            let b = NdArray::from_fn(vec![8, cols], |_| 1.0);
+            let ca = compress::<F16, i16>(&a, &s).unwrap();
+            let cb = compress::<F16, i16>(&b, &s).unwrap();
+            assert!(
+                ca.block_means().unwrap()[0].is_nan(),
+                "premise: the overflowing block's mean is NaN"
+            );
+            for (x, y) in [(&ca, &cb), (&cb, &ca), (&ca, &ca)] {
+                assert!(x.wasserstein(y, 2.0).unwrap().is_nan(), "{cols} cols");
+                assert!(x.approx_lp_distance(y, 2.0).unwrap().is_nan());
+                assert!(x.approx_linf_distance(y).unwrap().is_nan());
+            }
+            assert!(cb.wasserstein(&cb, 2.0).unwrap() == 0.0);
+        }
     }
 }

@@ -345,6 +345,8 @@ fn malformed_requests_get_4xx_not_hangs() {
         ("total garbage\r\n\r\n", 400),
         ("GET /nope HTTP/1.1\r\n\r\n", 404),
         ("GET /query?agg=bogus HTTP/1.1\r\n\r\n", 400),
+        ("GET /query?agg=var HTTP/1.1\r\n\r\n", 400),
+        ("GET /query?agg=l2norm HTTP/1.1\r\n\r\n", 400),
         ("GET /query?from=abc HTTP/1.1\r\n\r\n", 400),
         (
             "GET /query?value_lo=0&mean_hi=1&agg=sum HTTP/1.1\r\n\r\n",

@@ -18,8 +18,9 @@
 //!    form, and the determinism contract makes it bit-identical to what
 //!    a decode recomputes. A [`Predicate::ValueInRange`] query, and every
 //!    [`QueryOptions::full_scan`], decode the survivors in parallel,
-//!    re-evaluate the predicate *exactly* (per-block, still in compressed
-//!    space), and recompute the partials from the payload.
+//!    recompute each one's zone map from its payload, and re-evaluate
+//!    the predicate *exactly* on it (per-block, still in compressed
+//!    space), reading nothing from the footer.
 //!
 //! Stage 3's exact re-evaluation is what makes pruning transparent: the
 //! zone map is a superset filter (its chunk-level hull covers every
@@ -104,8 +105,11 @@ impl Predicate {
     }
 
     /// Exact test on a decoded chunk (still compressed-space: block
-    /// envelopes and DC statistics, never element decompression). Always
-    /// implies [`Predicate::zone_may_match`] on the chunk's zone map.
+    /// envelopes and DC statistics, never element decompression). `zone`
+    /// must be the zone map of `c` itself, `ZoneMap::of_dyn(c)`: the scan
+    /// passes the one it recomputes from the payload, never the footer's,
+    /// so a lying footer cannot steer the exact test. Always implies
+    /// [`Predicate::zone_may_match`] on that zone map.
     pub fn matches_chunk(&self, c: &DynCompressed, zone: &ZoneMap) -> Result<bool, StoreError> {
         match *self {
             Predicate::ValueInRange { lo, hi } => {
@@ -142,8 +146,8 @@ impl Aggregate {
             "count" => Aggregate::Count,
             "sum" => Aggregate::Sum,
             "mean" => Aggregate::Mean,
-            "variance" | "var" => Aggregate::Variance,
-            "l2" | "l2norm" => Aggregate::L2Norm,
+            "variance" => Aggregate::Variance,
+            "l2" => Aggregate::L2Norm,
             other => {
                 return Err(StoreError::InvalidArgument(format!(
                     "unknown aggregate {other:?} (want count|sum|mean|variance|l2)"
@@ -467,23 +471,22 @@ impl Store {
                     let slot = &mut *cell.borrow_mut();
                     self.chunk_into(i, slot)?;
                     let c = slot.as_ref().expect("chunk_into fills the slot");
+                    // Recompute (not copy) the zone map from the payload
+                    // and test the predicate on it: the determinism
+                    // contract makes it equal the stored one bit-for-bit,
+                    // and reading nothing from the footer keeps the full
+                    // scan an honest reference for footer answers. The
+                    // statistics fold is sequential and allocation-free;
+                    // the chunks themselves fan out across threads here.
+                    let zone = ZoneMap::of_dyn(c)?;
                     let matched = match &q.predicate {
-                        Some(p) => p.matches_chunk(c, &entry.zone)?,
+                        Some(p) => p.matches_chunk(c, &zone)?,
                         None => true,
                     };
                     if !matched {
                         return Ok(Scanned::NoMatch);
                     }
-                    // Recompute (not copy) the partials from the payload:
-                    // the determinism contract makes them equal the stored
-                    // zone map bit-for-bit, and recomputing keeps the full
-                    // scan an honest reference for footer answers. The
-                    // sequential fold is bit-identical to the parallel
-                    // `stats_partial` (same per-block arithmetic, same
-                    // order) and allocation-free — the chunks themselves
-                    // already fan out across threads here.
-                    let stats = c.stats_partial_seq()?;
-                    Ok(Scanned::Match(entry.label, stats, c.error_bounds()))
+                    Ok(Scanned::Match(entry.label, zone.stats, zone.bounds))
                 })
             };
             match outcome {

@@ -5,10 +5,13 @@
 //! (InfluxDB's TSM index, Parquet row-group statistics), except every
 //! number in it is computed **in compressed space** — the chunk is never
 //! decompressed, at ingest or at query time. The statistics come from
-//! [`blazr::ops::ChunkStats`] (DC coefficients and coefficient energy);
-//! the paper's §IV-D binning error model ([`blazr::ops::ErrorBounds`])
-//! rides along so that pruning decisions can be widened to stay
-//! conservative with respect to the *original* (pre-compression) data.
+//! [`blazr::ops::ChunkStats`] (DC coefficients and coefficient energy),
+//! one sequential block-order fold per chunk that never starts a thread
+//! team: it costs a fraction of the chunk's compress or decode, and
+//! scans fan out across chunks instead. The paper's §IV-D binning error model
+//! ([`blazr::ops::ErrorBounds`]) rides along so that pruning decisions
+//! can be widened to stay conservative with respect to the *original*
+//! (pre-compression) data.
 
 use blazr::dynamic::DynCompressed;
 use blazr::ops::{ChunkStats, ErrorBounds};

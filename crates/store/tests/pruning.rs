@@ -419,6 +419,78 @@ fn value_range_rejects_a_chunk_the_zone_map_kept() {
     assert_bit_identical(&r, &store.query_full_scan(&q).unwrap());
 }
 
+/// The full scan follows the payload, not the footer: with one footer
+/// zone map's mean rewritten (and the footer checksum re-sealed, so the
+/// store opens cleanly), a full-scan `MeanInRange` query around the
+/// chunk's true mean still matches it, bit-identically to the honest
+/// store's full scan. Footer answers trust the index by design; `store
+/// verify` is what flags the lie.
+#[test]
+fn full_scan_follows_the_payload_not_a_lying_footer() {
+    use blazr_store::format::{encode_footer, encode_trailer};
+    let _serial = serial();
+    const LIAR: usize = 3;
+    let honest_path = write_ramp("footer-honest.blzs", 8, true);
+    let honest = Store::open(&honest_path).unwrap();
+    let mut entries = honest.entries().to_vec();
+    let true_mean = entries[LIAR].zone.mean();
+    entries[LIAR].zone.stats.sum += 1000.0 * entries[LIAR].zone.stats.count as f64;
+    let footer = encode_footer(&entries);
+    let trailer = encode_trailer(&footer);
+    let mut bytes = fs::read(&honest_path).unwrap();
+    bytes.truncate(bytes.len() - footer.len() - trailer.len());
+    bytes.extend_from_slice(&footer);
+    bytes.extend_from_slice(&trailer);
+    let lying_path = tmp("footer-lying.blzs");
+    fs::write(&lying_path, &bytes).unwrap();
+
+    let q = |predicate| Query {
+        from_label: 0,
+        to_label: u64::MAX,
+        predicate,
+        aggregate: Aggregate::Sum,
+    };
+    let around_mean = Some(Predicate::MeanInRange {
+        lo: true_mean - 0.05,
+        hi: true_mean + 0.05,
+    });
+    // The lying mean is far from the truth, and from the other chunks.
+    let around_lie = Some(Predicate::MeanInRange {
+        lo: true_mean + 999.95,
+        hi: true_mean + 1000.05,
+    });
+    for (name, lying) in every_backing(&lying_path) {
+        assert_eq!(lying.entries()[LIAR].zone, entries[LIAR].zone, "{name}");
+        for predicate in [None, around_mean, around_lie] {
+            let got = lying.query_full_scan(&q(predicate)).unwrap();
+            let want = honest.query_full_scan(&q(predicate)).unwrap();
+            assert_bit_identical(&got, &want);
+        }
+        let r = lying.query_full_scan(&q(around_mean)).unwrap();
+        assert_eq!(r.matched_labels, vec![LIAR as u64], "{name}");
+        assert!(lying
+            .query_full_scan(&q(around_lie))
+            .unwrap()
+            .matched_labels
+            .is_empty());
+    }
+    let lying = Store::open(&lying_path).unwrap();
+    println!(
+        "full-scan: chunk {LIAR} footer mean rewritten {true_mean:.3} -> {:.3}: \
+         full scan matched {:?} (honest store: {:?}), footer answer matched {:?}",
+        entries[LIAR].zone.mean(),
+        lying
+            .query_full_scan(&q(around_mean))
+            .unwrap()
+            .matched_labels,
+        honest
+            .query_full_scan(&q(around_mean))
+            .unwrap()
+            .matched_labels,
+        lying.query(&q(around_mean)).unwrap().matched_labels,
+    );
+}
+
 /// A warm footer answer reads nothing: on the positional-read backing,
 /// the first query reads and hashes each payload once, and a second adds
 /// no chunk read, no hash, no decode and no parallel call.

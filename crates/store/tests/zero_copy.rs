@@ -260,6 +260,44 @@ fn largest_jump_survives_nan_distances() {
     assert!(jump.2.is_nan());
 }
 
+/// Regression: `adjacent_wasserstein` panicked on an order below 1 (an
+/// `assert!` in the reference distance) and on NaN block means ("no
+/// NaNs in distribution"). A bad order is now an invalid argument, and a
+/// chunk whose f16 block overflows yields NaN distances to its
+/// neighbours.
+#[test]
+fn adjacent_wasserstein_rejects_bad_orders_and_keeps_nan() {
+    let p = tmp("nan-wasserstein.blzs");
+    let mut w = StoreWriter::create(
+        &p,
+        Settings::new(vec![8, 8]).unwrap(),
+        ScalarType::F16,
+        IndexType::I16,
+    )
+    .unwrap();
+    // Chunk 1's left block of 60000s transforms past the f16 maximum, so
+    // its block mean is NaN; chunks 0 and 2 are all ones.
+    for t in 0..3u64 {
+        let hot = t == 1;
+        let f = NdArray::from_fn(vec![8, 16], |i| if hot && i[1] < 8 { 60000.0 } else { 1.0 });
+        w.append(t, &f).unwrap();
+    }
+    w.finish().unwrap();
+    let store = Store::open(&p).unwrap();
+    for bad in [0.5, f64::NAN] {
+        assert!(
+            matches!(
+                store.adjacent_wasserstein(bad),
+                Err(StoreError::Blaz(blazr::BlazError::InvalidArgument(_)))
+            ),
+            "p={bad}"
+        );
+    }
+    let dists = store.adjacent_wasserstein(2.0).unwrap();
+    assert_eq!(dists.len(), 2);
+    assert!(dists.iter().all(|d| d.2.is_nan()), "{dists:?}");
+}
+
 /// A bit-flipped payload header can never produce a silently wrong
 /// `chunk_info`: the payload is checksum-verified before the peek, on
 /// the zero-copy backings and the positional-read backing alike.

@@ -129,7 +129,8 @@ pub fn softmax(a: &[f64]) -> Vec<f64> {
 /// If either input does not sum to 1 (within `1e-9`), it is passed through
 /// [`softmax`] first, as the paper does. The power sum is max-normalized so
 /// large `p` (the paper sweeps up to 80) cannot underflow to zero unless
-/// all differences are zero.
+/// all differences are zero. A NaN in either input makes the distance
+/// NaN. Panics unless `p ≥ 1`.
 pub fn wasserstein_1d(a: &[f64], b: &[f64], p: f64) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     assert!(p >= 1.0, "order must be >= 1");
@@ -143,10 +144,13 @@ pub fn wasserstein_1d(a: &[f64], b: &[f64], p: f64) -> f64 {
     };
     let mut pa = normalize(a);
     let mut pb = normalize(b);
-    pa.sort_by(|x, y| x.partial_cmp(y).expect("no NaNs in distribution"));
-    pb.sort_by(|x, y| x.partial_cmp(y).expect("no NaNs in distribution"));
+    pa.sort_by(f64::total_cmp);
+    pb.sort_by(f64::total_cmp);
     let diffs: Vec<f64> = pa.iter().zip(&pb).map(|(x, y)| (x - y).abs()).collect();
-    let dmax = diffs.iter().copied().fold(0.0, f64::max);
+    // A NaN difference must survive the max, not be skipped by it.
+    let dmax = diffs
+        .iter()
+        .fold(0.0, |m, &d| if d > m || d.is_nan() { d } else { m });
     if dmax == 0.0 {
         return 0.0;
     }
@@ -263,6 +267,15 @@ mod tests {
         let d = wasserstein_1d(&a, &b, 68.0);
         assert!(d > 1e-6, "got {d}");
         assert!(d < 1e-3);
+    }
+
+    #[test]
+    fn wasserstein_propagates_nan() {
+        // A NaN block mean (f16 overflow upstream) must neither panic the
+        // sort nor vanish from the max, at any length.
+        assert!(wasserstein_1d(&[f64::NAN], &[0.5], 2.0).is_nan());
+        assert!(wasserstein_1d(&[0.1, f64::NAN, 0.3], &[0.2, 0.4, 0.6], 2.0).is_nan());
+        assert!(wasserstein_1d(&[0.2, 0.4], &[f64::NAN, f64::NAN], 1.0).is_nan());
     }
 
     #[test]

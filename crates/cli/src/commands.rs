@@ -835,18 +835,23 @@ fn store_stat_cmd(argv: &[String]) -> Result<(), String> {
     if !store.is_empty() {
         println!("label          min          max         mean      l2        ±linf");
         for e in store.entries() {
-            println!(
-                "{:>5}  {:>11.4e}  {:>11.4e}  {:>11.4e}  {:>8.3e}  {:>8.2e}",
-                e.label,
-                e.zone.stats.min_bound,
-                e.zone.stats.max_bound,
-                e.zone.mean(),
-                e.zone.stats.l2_norm(),
-                e.zone.bounds.linf
-            );
+            println!("{}", zone_row(e));
         }
     }
     Ok(())
+}
+
+/// One chunk's row of the `store stat` zone-map table.
+fn zone_row(e: &blazr_store::IndexEntry) -> String {
+    format!(
+        "{:>5}  {:>11.4e}  {:>11.4e}  {:>11.4e}  {:>8.3e}  {:>8.2e}",
+        e.label,
+        e.zone.stats.min_bound,
+        e.zone.stats.max_bound,
+        e.zone.mean(),
+        e.zone.stats.l2_norm(),
+        e.zone.bounds.linf
+    )
 }
 
 /// `store stat --json`: the same index accounting as the text form, as
@@ -1154,6 +1159,53 @@ mod tests {
         assert!(pruned.chunks_pruned >= 1);
         assert_eq!(pruned.value.to_bits(), full.value.to_bits());
         assert_eq!(pruned.matched_labels, full.matched_labels);
+    }
+
+    /// A chunk with an overflowed f16 block (8×8 of 60000s; its DC does
+    /// not fit in f16) prints the envelope `-inf`/`inf`, not a finite
+    /// hull that leaves the block out.
+    #[test]
+    fn store_stat_prints_an_overflowed_chunk_as_unbounded() {
+        let raw = tmp("overflow.f64");
+        let blzs = tmp("overflow.blzs");
+        let a = NdArray::from_fn(vec![24, 16], |i| {
+            if (8..16).contains(&i[0]) && i[1] >= 8 {
+                60000.0
+            } else {
+                ((i[0] + i[1]) as f64 / 5.0).sin()
+            }
+        });
+        write_f64(&raw, &a).unwrap();
+        run(&sv(&[
+            "store",
+            "ingest",
+            raw.to_str().unwrap(),
+            "--shape",
+            "24x16",
+            "--chunk-rows",
+            "8",
+            "--block",
+            "8x8",
+            "--float",
+            "f16",
+            "--index",
+            "i16",
+            "-o",
+            blzs.to_str().unwrap(),
+        ]))
+        .unwrap();
+        run(&sv(&["store", "stat", blzs.to_str().unwrap()])).unwrap();
+        let store = blazr_store::Store::open(&blzs).unwrap();
+        let rows: Vec<String> = store.entries().iter().map(zone_row).collect();
+        let hull = |row: &str| {
+            let f: Vec<String> = row.split_whitespace().map(str::to_string).collect();
+            (f[1].clone(), f[2].clone())
+        };
+        assert_eq!(hull(&rows[1]), ("-inf".into(), "inf".into()), "{rows:?}");
+        for row in [&rows[0], &rows[2]] {
+            let (lo, hi) = hull(row);
+            assert!(!lo.contains("inf") && !hi.contains("inf"), "{rows:?}");
+        }
     }
 
     #[test]

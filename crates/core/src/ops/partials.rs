@@ -151,9 +151,17 @@ impl ErrorBounds {
 /// A block's value envelope `(mean − spread, mean + spread)` from its DC
 /// coefficient and AC energy: `mean = DC/√(Πi)` and `spread = √(Σ_{j≠DC}
 /// c_j²)` (Cauchy–Schwarz against the transform's unit column norms).
+/// A block whose moments overflowed (an f16 block of 60000s) has a NaN
+/// bound and may hold any value, so its envelope is `(−∞, +∞)`: it
+/// widens every hull it joins and overlaps every range.
 fn envelope(dc: f64, ac_energy: f64, dc_scale: f64) -> (f64, f64) {
     let (mean, spread) = (dc / dc_scale, ac_energy.sqrt());
-    (mean - spread, mean + spread)
+    let (lo, hi) = (mean - spread, mean + spread);
+    if lo.is_nan() || hi.is_nan() {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (lo, hi)
+    }
 }
 
 impl<P: Real, I: BinIndex> CompressedArray<P, I> {
@@ -382,6 +390,22 @@ mod tests {
                 "[{lo}, {hi}] slack {slack}"
             );
         }
+    }
+
+    #[test]
+    fn an_overflowed_block_envelope_covers_everything() {
+        // 60000 fits in f16, but an 8×8 block of it has a DC of 480000,
+        // which does not: that block's moments overflow.
+        let a = NdArray::from_fn(vec![8, 16], |i| if i[1] < 8 { 0.5 } else { 60000.0 });
+        let c =
+            compress::<blazr_precision::F16, i16>(&a, &Settings::new(vec![8, 8]).unwrap()).unwrap();
+        let envs = c.block_envelopes().unwrap();
+        assert!(envs[0].0.is_finite() && envs[0].1.is_finite(), "{envs:?}");
+        assert_eq!(envs[1], (f64::NEG_INFINITY, f64::INFINITY));
+        let s = c.stats_partial().unwrap();
+        assert_eq!((s.min_bound, s.max_bound), envs[1]);
+        assert!(c.any_envelope_overlaps(1e9, 2e9, 0.0).unwrap());
+        assert!(c.any_envelope_overlaps(-2e9, -1e9, 0.0).unwrap());
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! graceful drain.
 //!
 //! Life of a request: the acceptor thread blocks in the [`Listener`]
-//! until a connection arrives (waking at least every
-//! [`ServeConfig::accept_poll`] to recheck drain state) and
-//! either queues the connection (bounded queue), sheds it with `429` +
+//! until a connection arrives (waking at least every 5 ms to recheck
+//! drain state) and either queues the connection (bounded queue), sheds it with `429` +
 //! `Retry-After` when the queue is full, or answers `503` while
 //! draining. A worker pops the connection, reads the head under the
-//! request deadline (transient I/O faults retried via the shared
+//! request deadline (transient I/O faults retried under the default
 //! [`RetryPolicy`]), parses it with [`Query::parse`], runs it through
 //! [`Store::run`] with a cancellation check wired to the same deadline
 //! (so a scan cannot overrun it by more than one chunk, in either mode),
@@ -26,6 +25,14 @@
 //! Every worker wraps handling in `catch_unwind`, so a panic in one
 //! request is counted (`serve.worker.panics`) and the worker survives —
 //! the chaos suite asserts the counter stays zero.
+//!
+//! The server's own accounting ([`ServerStats`]) is the one source of
+//! its admission and outcome counts. It counts whatever the telemetry
+//! mode, and each server counts for itself; `/metrics` exports it next
+//! to the telemetry registry as `serve.accepted`, `serve.shed`,
+//! `serve.draining_rejects`, `serve.deadline_exceeded`,
+//! `serve.responses.degraded`, `serve.worker.panics` and the gauge
+//! `serve.queue.depth`.
 
 use crate::http::{parse_request, read_head, write_response, Deadline, Request, Response};
 use crate::transport::{Conn, Listener};
@@ -40,7 +47,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server tuning knobs.
+/// Server tuning knobs, one per `blazr serve` flag (`--workers`,
+/// `--queue`, `--deadline-ms`, `--max-requests`). The rest is fixed: an
+/// idle acceptor rechecks drain state every 5 ms, a drain forces
+/// shutdown after 5 s, and transient I/O faults are retried under
+/// [`RetryPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads handling requests.
@@ -49,15 +60,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Per-request deadline (head read + query + response write).
     pub deadline: Duration,
-    /// Transient-I/O retry policy (shared classification with the
-    /// store's `store.io.*` path).
-    pub retry: RetryPolicy,
-    /// The longest an idle acceptor blocks before rechecking drain
-    /// state (also the shutdown-latency bound); arrivals wake it at once.
-    pub accept_poll: Duration,
-    /// How long a drain waits for in-flight requests before forcing
-    /// shutdown.
-    pub drain_timeout: Duration,
     /// Self-drain after this many handled connections (`blazr serve
     /// --max-requests` and smoke tests; `None` = run until told to
     /// drain).
@@ -70,21 +72,27 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             deadline: Duration::from_secs(2),
-            retry: RetryPolicy::default(),
-            accept_poll: Duration::from_millis(5),
-            drain_timeout: Duration::from_secs(5),
             max_requests: None,
         }
     }
 }
+
+/// The longest an idle acceptor blocks before rechecking drain state
+/// (also the shutdown-latency bound); arrivals wake it at once.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// How long a drain waits for in-flight requests before forcing
+/// shutdown.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
 const STOPPED: u8 = 2;
 
 /// A point-in-time view of the server's accounting, also returned by
-/// [`Server::shutdown`]. The chaos suite's leak checks are
-/// `in_flight == 0 && queued == 0 && panics == 0` after a drain.
+/// [`Server::shutdown`] and exported by `/metrics`. The chaos suite's
+/// leak checks are `in_flight == 0 && queued == 0 && panics == 0` after
+/// a drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections the acceptor received.
@@ -248,8 +256,8 @@ impl Server {
     }
 
     /// Stops admitting work: new connections get `503`, in-flight
-    /// requests finish, and once drained (or `drain_timeout` later) the
-    /// threads exit.
+    /// requests finish, and once drained (or 5 s later) the threads
+    /// exit.
     pub fn begin_drain(&self) {
         self.shared.begin_drain();
     }
@@ -287,7 +295,7 @@ fn acceptor_loop(shared: &Shared, listener: &dyn Listener) {
                     .drain_started
                     .lock()
                     .expect("drain flag poisoned")
-                    .map(|t| t.elapsed() > shared.cfg.drain_timeout)
+                    .map(|t| t.elapsed() > DRAIN_TIMEOUT)
                     .unwrap_or(false);
                 if drained || overdue {
                     shared.state.store(STOPPED, Ordering::Release);
@@ -297,11 +305,10 @@ fn acceptor_loop(shared: &Shared, listener: &dyn Listener) {
             }
             _ => {}
         }
-        match listener.accept_timeout(shared.cfg.accept_poll) {
+        match listener.accept_timeout(ACCEPT_POLL) {
             Ok(None) => continue,
             Ok(Some(conn)) => {
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
-                tel::count!("serve.accepted", 1);
                 admit(shared, conn);
             }
             Err(_) => {
@@ -319,7 +326,6 @@ fn acceptor_loop(shared: &Shared, listener: &dyn Listener) {
 fn admit(shared: &Shared, mut conn: Box<dyn Conn>) {
     if shared.state() != RUNNING {
         shared.drain_rejects.fetch_add(1, Ordering::Relaxed);
-        tel::count!("serve.draining_rejects", 1);
         respond_best_effort(conn.as_mut(), Response::error(503, "draining"));
         return;
     }
@@ -327,18 +333,13 @@ fn admit(shared: &Shared, mut conn: Box<dyn Conn>) {
     if q.len() >= shared.cfg.queue_capacity {
         drop(q);
         shared.shed.fetch_add(1, Ordering::Relaxed);
-        tel::count!("serve.shed", 1);
         let mut resp = Response::error(429, "queue full");
         resp.retry_after = Some(1);
         respond_best_effort(conn.as_mut(), resp);
         return;
     }
-    // One mode check covers both the stamp and the depth gauge.
     let admitted = tel::counters_enabled().then(Instant::now);
     q.push_back(Queued { conn, admitted });
-    if admitted.is_some() {
-        tel::gauge!("serve.queue.depth").set(q.len() as i64);
-    }
     drop(q);
     shared.cv.notify_one();
 }
@@ -364,9 +365,6 @@ fn worker_loop(shared: &Shared) {
             let mut q = shared.queue.lock().expect("queue poisoned");
             loop {
                 if let Some(Queued { conn, admitted }) = q.pop_front() {
-                    if tel::counters_enabled() {
-                        tel::gauge!("serve.queue.depth").set(q.len() as i64);
-                    }
                     if let Some(t) = admitted {
                         tel::record!("serve.queue_wait.us", t.elapsed().as_micros() as u64);
                     }
@@ -395,7 +393,6 @@ fn worker_loop(shared: &Shared) {
             let outcome = catch_unwind(AssertUnwindSafe(|| handle_conn(shared, conn.as_mut())));
             if outcome.is_err() {
                 shared.panics.fetch_add(1, Ordering::Relaxed);
-                tel::count!("serve.worker.panics", 1);
                 respond_best_effort(conn.as_mut(), Response::error(500, "internal panic"));
             }
         }
@@ -415,7 +412,7 @@ fn handle_conn(shared: &Shared, conn: &mut dyn Conn) {
     let start = Instant::now();
     tel::count!("serve.requests", 1);
     let deadline = Deadline::after(shared.cfg.deadline);
-    let retry = &shared.cfg.retry;
+    let retry = &RetryPolicy::default();
 
     let head = match read_head(conn, &deadline, retry) {
         Ok(Some(head)) => head,
@@ -477,11 +474,33 @@ fn route(shared: &Shared, req: &Request, deadline: &Deadline) -> Response {
             status: 200,
             content_type: "text/plain; version=0.0.4",
             retry_after: None,
-            body: tel::registry().snapshot().to_prometheus(),
+            body: metrics_snapshot(shared).to_prometheus(),
         },
         "/query" => handle_query(shared, req, deadline),
         _ => Response::error(404, "not found"),
     }
+}
+
+/// The telemetry registry plus this server's own accounting, in name
+/// order.
+fn metrics_snapshot(shared: &Shared) -> tel::Snapshot {
+    let s = shared.stats();
+    let mut snap = tel::registry().snapshot();
+    for (name, v) in [
+        ("serve.accepted", s.accepted),
+        ("serve.deadline_exceeded", s.deadline_hits),
+        ("serve.draining_rejects", s.drain_rejects),
+        ("serve.responses.degraded", s.degraded),
+        ("serve.shed", s.shed),
+        ("serve.worker.panics", s.panics),
+    ] {
+        snap.counters.push((name.to_string(), v));
+    }
+    snap.counters.sort();
+    snap.gauges
+        .push(("serve.queue.depth".to_string(), s.queued as i64));
+    snap.gauges.sort();
+    snap
 }
 
 /// Parses the query parameters, runs the scan under the deadline, and
@@ -524,7 +543,6 @@ fn handle_query(shared: &Shared, req: &Request, deadline: &Deadline) -> Response
             let status = if report.is_degraded() { 206 } else { 200 };
             if status == 206 {
                 shared.degraded.fetch_add(1, Ordering::Relaxed);
-                tel::count!("serve.responses.degraded", 1);
             }
             Response::json(status, encode_query_body(&r, &report))
         }
@@ -537,7 +555,6 @@ fn store_error_response(shared: &Shared, e: StoreError) -> Response {
         StoreError::InvalidArgument(msg) => Response::error(400, &msg),
         StoreError::Cancelled(msg) => {
             shared.deadline_hits.fetch_add(1, Ordering::Relaxed);
-            tel::count!("serve.deadline_exceeded", 1);
             Response::error(504, &format!("deadline exceeded: {msg}"))
         }
         other => Response::error(500, &other.to_string()),

@@ -38,8 +38,6 @@ fn chaos_cfg() -> ServeConfig {
         workers: 2,
         queue_capacity: 8,
         deadline: Duration::from_millis(500),
-        accept_poll: Duration::from_millis(2),
-        drain_timeout: Duration::from_secs(2),
         ..ServeConfig::default()
     }
 }

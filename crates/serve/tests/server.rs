@@ -20,8 +20,6 @@ fn quick_cfg() -> ServeConfig {
         workers: 2,
         queue_capacity: 8,
         deadline: Duration::from_millis(500),
-        accept_poll: Duration::from_millis(2),
-        drain_timeout: Duration::from_secs(2),
         ..ServeConfig::default()
     }
 }
@@ -66,9 +64,9 @@ fn tcp_end_to_end_matches_direct_queries() {
 }
 
 /// Accepted sockets inherit the listener's accept timeout
-/// (`SO_RCVTIMEO` = `accept_poll`). A client that pauses for several
-/// such periods before sending its head must still be answered: the
-/// request deadline, not the inherited timeout, bounds the read.
+/// (`SO_RCVTIMEO` = the 5 ms accept poll). A client that pauses for
+/// several such periods before sending its head must still be answered:
+/// the request deadline, not the inherited timeout, bounds the read.
 #[test]
 fn tcp_slow_head_outlives_the_inherited_accept_timeout() {
     let dir = tmp_dir("tcp-slow-head");
@@ -77,17 +75,13 @@ fn tcp_slow_head_outlives_the_inherited_accept_timeout() {
     let (direct, report) = Store::open(&path).unwrap().query_degraded(&q).unwrap();
     let expected_body = encode_query_body(&direct, &report);
 
-    let cfg = ServeConfig {
-        accept_poll: Duration::from_millis(20),
-        ..quick_cfg()
-    };
     let listener = TcpTransport::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let server =
-        Server::start(Store::open(&path).unwrap(), Box::new(listener), cfg.clone()).unwrap();
+        Server::start(Store::open(&path).unwrap(), Box::new(listener), quick_cfg()).unwrap();
 
     let mut conn = TcpConn::connect(&addr).unwrap();
-    std::thread::sleep(3 * cfg.accept_poll);
+    std::thread::sleep(Duration::from_millis(60));
     let resp = http_get(&mut conn, "/query?agg=sum", CLIENT_TIMEOUT).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.body_text());
     assert_eq!(resp.body_text(), expected_body);
@@ -143,7 +137,6 @@ fn queue_overflow_sheds_with_429_and_retry_after() {
         workers: 1,
         queue_capacity: 1,
         deadline: Duration::from_millis(400),
-        accept_poll: Duration::from_millis(2),
         ..quick_cfg()
     };
     let server =
@@ -406,5 +399,81 @@ fn metrics_endpoint_exposes_serve_counters() {
         "metrics body:\n{body}"
     );
     assert!(body.contains("# TYPE"));
+    server.shutdown();
+}
+
+/// `/metrics` exports the server's own accounting: every serve counter
+/// and the queue-depth gauge appear with telemetry at its default (off),
+/// and each equals the matching [`blazr_serve::ServerStats`] field.
+#[test]
+fn metrics_export_server_stats_with_telemetry_off() {
+    let dir = tmp_dir("metrics-stats");
+    let path = write_store(&dir);
+    let listener = MemTransport::new();
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        deadline: Duration::from_millis(400),
+        ..quick_cfg()
+    };
+    let server =
+        Server::start(Store::open(&path).unwrap(), Box::new(listener.clone()), cfg).unwrap();
+
+    // The shed scenario: one silent connection holds the worker, one
+    // fills the queue, and the third is shed.
+    let hold1 = listener.connect();
+    while server.stats().in_flight < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let hold2 = listener.connect();
+    while server.stats().queued < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut conn = listener.connect();
+    assert_eq!(
+        read_response(&mut conn, CLIENT_TIMEOUT).unwrap().status,
+        429
+    );
+    for mut held in [hold1, hold2] {
+        assert_eq!(
+            read_response(&mut held, CLIENT_TIMEOUT).unwrap().status,
+            408
+        );
+    }
+
+    let resp = mem_get(&listener, "/metrics");
+    assert_eq!(resp.status, 200);
+    let body = resp.body_text();
+    let stats = server.stats();
+    let value = |name: &str| -> u64 {
+        let line = body
+            .lines()
+            .find(|l| l.split(' ').next() == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{body}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    for (name, want) in [
+        ("blazr_serve_accepted_total", stats.accepted),
+        ("blazr_serve_shed_total", stats.shed),
+        ("blazr_serve_draining_rejects_total", stats.drain_rejects),
+        ("blazr_serve_worker_panics_total", stats.panics),
+        ("blazr_serve_responses_degraded_total", stats.degraded),
+        ("blazr_serve_deadline_exceeded_total", stats.deadline_hits),
+    ] {
+        assert!(body.contains(&format!("# TYPE {name} counter")), "{body}");
+        assert_eq!(value(name), want, "{name}");
+    }
+    assert!(
+        body.contains("# TYPE blazr_serve_queue_depth gauge"),
+        "{body}"
+    );
+    assert_eq!(value("blazr_serve_queue_depth"), 0);
+    assert_eq!(stats.shed, 1);
+    println!(
+        "metrics: shed={} accepted={} queue_depth={} match ServerStats",
+        value("blazr_serve_shed_total"),
+        value("blazr_serve_accepted_total"),
+        value("blazr_serve_queue_depth")
+    );
     server.shutdown();
 }

@@ -24,9 +24,9 @@
 //!   deviation and scission analyses ([`Store::largest_jump`],
 //!   [`Store::first_divergence`], …) run against on-disk data.
 //! * The store survives storage faults: transient read errors retry
-//!   with bounded backoff ([`RetryPolicy`]), a damaged footer salvages
-//!   from self-describing chunk preambles ([`Store::open_salvage`]),
-//!   and queries over a store with bad chunks can proceed in degraded
+//!   with bounded backoff ([`blazr_util::retry::RetryPolicy`]), a
+//!   damaged footer salvages from self-describing chunk preambles
+//!   ([`Store::open_salvage`]), and queries over a store with bad chunks can proceed in degraded
 //!   mode ([`QueryOptions::degraded`]) with a [`DegradationReport`]
 //!   instead of an error. All I/O goes through the
 //!   [`blazr_util::vfs`] seam, so every failure mode is testable with
@@ -79,6 +79,6 @@ pub use query::{
     encode_query_body, Aggregate, DegradationReport, Predicate, Query, QueryOptions, QueryResult,
     SkippedChunk,
 };
-pub use store::{write_series, RetryPolicy, SalvageReport, Store};
+pub use store::{write_series, SalvageReport, Store};
 pub use writer::StoreWriter;
 pub use zonemap::ZoneMap;

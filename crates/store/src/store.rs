@@ -36,6 +36,7 @@ use blazr::{BinIndex, CompressedArray, IndexType, ScalarType};
 use blazr_precision::StorableReal;
 use blazr_telemetry as tel;
 use blazr_util::mmap::Mmap;
+use blazr_util::retry::RetryPolicy;
 use blazr_util::vfs::{OsVfs, Vfs, VfsFile};
 use rayon::prelude::*;
 use std::cell::Cell;
@@ -71,23 +72,13 @@ enum Backing {
     File(Box<dyn VfsFile>, u64),
 }
 
-/// The transient-read retry policy, shared with the serve crate's
-/// transport path so both sides of the system classify transient vs
-/// permanent I/O errors identically (see [`blazr_util::retry`]). Reads
-/// on the positional backing run under this policy; telemetry counts
-/// the retries (`store.io.retries`) and exhausted budgets
+/// `read_exact_at` under the default [`RetryPolicy`], the one the serve
+/// crate's transport path also uses, so both sides of the system classify
+/// transient vs permanent I/O errors identically. Telemetry counts the
+/// retries (`store.io.retries`) and exhausted budgets
 /// (`store.io.giveups`).
-pub use blazr_util::retry::RetryPolicy;
-
-/// `read_exact_at` under `retry`'s budget, feeding the retry accounting
-/// into the store's metric namespace.
-fn read_exact_at_retry(
-    retry: &RetryPolicy,
-    file: &dyn VfsFile,
-    buf: &mut [u8],
-    offset: u64,
-) -> io::Result<()> {
-    let out = retry.run(|| file.read_exact_at(buf, offset));
+fn read_exact_at_retry(file: &dyn VfsFile, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    let out = RetryPolicy::default().run(|| file.read_exact_at(buf, offset));
     if out.retries > 0 {
         tel::count!("store.io.retries", u64::from(out.retries));
     }
@@ -135,7 +126,7 @@ impl Backing {
 
     /// Reads exactly `len` bytes at `offset` into a fresh buffer — used
     /// for the O(index) open-time reads, where allocation is fine.
-    fn read_at(&self, offset: u64, len: usize, retry: &RetryPolicy) -> Result<Vec<u8>, StoreError> {
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
         match self {
             Backing::Mem(_) | Backing::Map(_) => {
                 let all = self.as_slice().expect("Mem/Map backings are addressable");
@@ -143,13 +134,36 @@ impl Backing {
             }
             Backing::File(f, _) => {
                 let mut buf = vec![0u8; len];
-                read_exact_at_retry(retry, f.as_ref(), &mut buf, offset).map_err(|e| {
+                read_exact_at_retry(f.as_ref(), &mut buf, offset).map_err(|e| {
                     StoreError::Io(format!("cannot read [{offset}, {offset}+{len}): {e}"))
                 })?;
                 Ok(buf)
             }
         }
     }
+}
+
+/// Opens `path` through `vfs` as a memory map where the platform gives
+/// one, else as positional reads. A map attempt that *errors* (rather
+/// than being unsupported) falls back to positional reads too, counts
+/// `store.open.mmap_fallback`, and returns `true` with the backing.
+fn open_backing(vfs: &dyn Vfs, path: &Path) -> Result<(Backing, bool), StoreError> {
+    let file = vfs.open(path).map_err(|e| io_err("open", path, e))?;
+    let fell_back = match file.mmap() {
+        Ok(Some(map)) => return Ok((Backing::Map(map), false)),
+        Ok(None) => false,
+        Err(_) => {
+            tel::count!("store.open.mmap_fallback", 1);
+            true
+        }
+    };
+    Ok((positional(file, path)?, fell_back))
+}
+
+/// The positional-read backing over an open file.
+fn positional(file: Box<dyn VfsFile>, path: &Path) -> Result<Backing, StoreError> {
+    let len = file.len().map_err(|e| io_err("stat", path, e))?;
+    Ok(Backing::File(file, len))
 }
 
 /// An open store: the decoded footer index plus a handle to the payload
@@ -165,9 +179,8 @@ pub struct Store {
     /// first byte access computes the FNV sum, then the latched verdict.
     /// A failed verdict is permanent — every later access keeps erroring.
     checks: Vec<OnceLock<bool>>,
-    retry: RetryPolicy,
-    /// True when [`Store::open`] asked for a memory map and the platform
-    /// refused with an error (not merely "unsupported") — the store then
+    /// True when the open (normal or salvage) asked for a memory map and
+    /// the platform refused with an error (not merely "unsupported") — the store then
     /// runs on positional reads. Surfaced by `store stat`.
     mmap_fell_back: bool,
 }
@@ -207,16 +220,8 @@ impl Store {
     /// ([`Store::mmap_fell_back`]).
     pub fn open_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let _span = tel::span!("store.open");
-        let path = path.as_ref();
-        let file = vfs.open(path).map_err(|e| io_err("open", path, e))?;
-        match file.mmap() {
-            Ok(Some(map)) => Self::load(Backing::Map(map), false),
-            Ok(None) => Self::positional(file, path, false),
-            Err(_) => {
-                tel::count!("store.open.mmap_fallback", 1);
-                Self::positional(file, path, true)
-            }
-        }
+        let (backing, fell_back) = open_backing(vfs, path.as_ref())?;
+        Self::load(backing, fell_back)
     }
 
     /// Opens a store with positional reads instead of a memory map: each
@@ -224,24 +229,10 @@ impl Store {
     /// This is [`Store::open`]'s fallback path, exposed for callers that
     /// must not map the file (and for testing both paths).
     pub fn open_unmapped(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_unmapped_with(&OsVfs, path)
-    }
-
-    /// [`Store::open_unmapped`] through an explicit [`Vfs`].
-    pub fn open_unmapped_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let _span = tel::span!("store.open");
         let path = path.as_ref();
-        let file = vfs.open(path).map_err(|e| io_err("open", path, e))?;
-        Self::positional(file, path, false)
-    }
-
-    fn positional(
-        file: Box<dyn VfsFile>,
-        path: &Path,
-        fell_back: bool,
-    ) -> Result<Self, StoreError> {
-        let len = file.len().map_err(|e| io_err("stat", path, e))?;
-        Self::load(Backing::File(file, len), fell_back)
+        let file = OsVfs.open(path).map_err(|e| io_err("open", path, e))?;
+        Self::load(positional(file, path)?, false)
     }
 
     /// Opens a store from its raw bytes (validates header, trailer,
@@ -254,7 +245,7 @@ impl Store {
     /// Reads and validates header magic, trailer, and footer — the
     /// normal open path, borrowed out of `load` so the salvage path can
     /// try it first and keep the backing when it fails.
-    fn read_index(backing: &Backing, retry: &RetryPolicy) -> Result<Vec<IndexEntry>, StoreError> {
+    fn read_index(backing: &Backing) -> Result<Vec<IndexEntry>, StoreError> {
         let corrupt = |msg: String| StoreError::Corrupt(msg);
         let file_len = backing.len();
         if file_len < MIN_FILE_LEN as u64 {
@@ -262,12 +253,12 @@ impl Store {
                 "file holds {file_len} bytes; a store needs at least {MIN_FILE_LEN}"
             )));
         }
-        let magic = backing.read_at(0, HEADER_MAGIC.len(), retry)?;
+        let magic = backing.read_at(0, HEADER_MAGIC.len())?;
         if magic != HEADER_MAGIC {
             return Err(pre_v3_refusal(&magic)
                 .unwrap_or_else(|| corrupt("missing BLZSTOR3 header magic".into())));
         }
-        let trailer = backing.read_at(file_len - TRAILER_LEN as u64, TRAILER_LEN, retry)?;
+        let trailer = backing.read_at(file_len - TRAILER_LEN as u64, TRAILER_LEN)?;
         if &trailer[16..] != TRAILER_MAGIC {
             return Err(corrupt(
                 "missing BLZSIDX1 trailer magic (truncated or unfinished store?)".into(),
@@ -284,7 +275,7 @@ impl Store {
                 "footer length {footer_len} does not fit in a {file_len}-byte file"
             )));
         };
-        let footer = backing.read_at(footer_start, footer_len as usize, retry)?;
+        let footer = backing.read_at(footer_start, footer_len as usize)?;
         let actual_sum = fnv1a64(&footer);
         if actual_sum != stored_sum {
             return Err(corrupt(format!(
@@ -295,8 +286,7 @@ impl Store {
     }
 
     fn load(backing: Backing, mmap_fell_back: bool) -> Result<Self, StoreError> {
-        let retry = RetryPolicy::default();
-        let entries = Self::read_index(&backing, &retry)?;
+        let entries = Self::read_index(&backing)?;
         let checks = entries.iter().map(|_| OnceLock::new()).collect();
         if tel::counters_enabled() {
             match &backing {
@@ -309,21 +299,15 @@ impl Store {
             backing,
             entries,
             checks,
-            retry,
             mmap_fell_back,
         })
     }
 
-    /// True when [`Store::open`]'s memory-map attempt failed with an
-    /// error and the store quietly fell back to positional reads.
+    /// True when the open's memory-map attempt ([`Store::open`] or
+    /// [`Store::open_salvage`]) failed with an error and the store
+    /// quietly fell back to positional reads.
     pub fn mmap_fell_back(&self) -> bool {
         self.mmap_fell_back
-    }
-
-    /// Replaces the transient-read retry policy (defaults to 3 attempts
-    /// with 100 µs base backoff).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Opens a store, rebuilding the index from chunk preambles when the
@@ -340,21 +324,15 @@ impl Store {
         Self::open_salvage_with(&OsVfs, path)
     }
 
-    /// [`Store::open_salvage`] through an explicit [`Vfs`].
+    /// [`Store::open_salvage`] through an explicit [`Vfs`]. A map
+    /// attempt that errors falls back to positional reads exactly as in
+    /// [`Store::open_with`].
     pub fn open_salvage_with(
         vfs: &dyn Vfs,
         path: impl AsRef<Path>,
     ) -> Result<(Self, SalvageReport), StoreError> {
         let _span = tel::span!("store.salvage");
-        let path = path.as_ref();
-        let file = vfs.open(path).map_err(|e| io_err("open", path, e))?;
-        let (backing, fell_back) = match file.mmap() {
-            Ok(Some(map)) => (Backing::Map(map), false),
-            Ok(None) | Err(_) => {
-                let len = file.len().map_err(|e| io_err("stat", path, e))?;
-                (Backing::File(file, len), false)
-            }
-        };
+        let (backing, fell_back) = open_backing(vfs, path.as_ref())?;
         Self::salvage(backing, fell_back)
     }
 
@@ -368,8 +346,7 @@ impl Store {
         backing: Backing,
         mmap_fell_back: bool,
     ) -> Result<(Self, SalvageReport), StoreError> {
-        let retry = RetryPolicy::default();
-        match Self::read_index(&backing, &retry) {
+        match Self::read_index(&backing) {
             Ok(_) => {
                 let store = Self::load(backing, mmap_fell_back)?;
                 let report = SalvageReport {
@@ -389,7 +366,7 @@ impl Store {
         // garbage, so say what is actually wrong.
         let file_len = backing.len();
         if let Some(refusal) = backing
-            .read_at(0, HEADER_MAGIC.len(), &retry)
+            .read_at(0, HEADER_MAGIC.len())
             .ok()
             .and_then(|magic| pre_v3_refusal(&magic))
         {
@@ -404,7 +381,7 @@ impl Store {
         let bytes: &[u8] = match backing.as_slice() {
             Some(all) => all,
             None => {
-                owned = backing.read_at(0, len, &retry)?;
+                owned = backing.read_at(0, len)?;
                 &owned
             }
         };
@@ -472,7 +449,6 @@ impl Store {
             backing,
             entries,
             checks,
-            retry,
             mmap_fell_back,
         };
         Ok((store, report))
@@ -606,13 +582,12 @@ impl Store {
         let mut buf = READ_SCRATCH.take();
         buf.clear();
         buf.resize(len, 0);
-        let read =
-            read_exact_at_retry(&self.retry, file.as_ref(), &mut buf, e.offset).map_err(|err| {
-                StoreError::Io(format!(
-                    "cannot read [{}, {}+{len}): {err}",
-                    e.offset, e.offset
-                ))
-            });
+        let read = read_exact_at_retry(file.as_ref(), &mut buf, e.offset).map_err(|err| {
+            StoreError::Io(format!(
+                "cannot read [{}, {}+{len}): {err}",
+                e.offset, e.offset
+            ))
+        });
         let out = read
             .and_then(|()| self.verify_payload(i, &buf))
             .map(|()| f(&buf));
@@ -675,7 +650,7 @@ impl Store {
     /// read).
     pub fn chunk_types(&self) -> Option<(ScalarType, IndexType)> {
         let first = self.entries.first()?;
-        let tag = self.backing.read_at(first.offset, 1, &self.retry).ok()?;
+        let tag = self.backing.read_at(first.offset, 1).ok()?;
         blazr::serialize::peek_types(&tag)
     }
 

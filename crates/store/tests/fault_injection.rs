@@ -274,6 +274,46 @@ fn mmap_failure_falls_back_to_positional_reads() {
     tel::set_mode(tel::Mode::Off);
 }
 
+/// The salvage open takes the same map-or-positional step as the normal
+/// open: on a store with a damaged footer, a failing map falls back to
+/// positional reads, flags the handle and counts the fallback, and the
+/// salvage still recovers every chunk.
+#[test]
+fn salvage_open_records_an_mmap_fallback() {
+    let dir = tmp_dir("salvage-mmap");
+    let dest = dir.join("store.blzs");
+    ingest_through(Arc::new(OsVfs), &dest).unwrap();
+    let mut bytes = fs::read(&dest).unwrap();
+    let n = bytes.len();
+    bytes[n - 16..].fill(0xAA);
+    fs::write(&dest, &bytes).unwrap();
+
+    let _serial = tel_lock();
+    tel::set_mode(tel::Mode::Counters);
+    let before = tel::registry()
+        .snapshot()
+        .counter("store.open.mmap_fallback")
+        .unwrap_or(0);
+    let vfs = FaultyVfs::os();
+    vfs.script()
+        .fail_nth(FaultOp::Mmap, 0, std::io::ErrorKind::OutOfMemory);
+    let (store, report) = Store::open_salvage_with(&vfs, &dest).unwrap();
+    let after = tel::registry()
+        .snapshot()
+        .counter("store.open.mmap_fallback")
+        .unwrap_or(0);
+    tel::set_mode(tel::Mode::Off);
+    assert!(!report.footer_intact);
+    assert_eq!(report.recovered, frames().len());
+    assert!(store.mmap_fell_back());
+    assert_eq!(store.backing_kind(), "file");
+    assert_eq!(after - before, 1, "the salvage open counts its fallback");
+    println!(
+        "mmap-fallback: salvage open survived a failing map ({} chunks recovered)",
+        report.recovered
+    );
+}
+
 /// Bit rot under a live reader: a strict query refuses, a degraded query
 /// quarantines exactly the rotten chunk, reports it, and bumps the
 /// quarantine counter. The file itself is untouched (the flips live in

@@ -419,6 +419,62 @@ fn value_range_rejects_a_chunk_the_zone_map_kept() {
     assert_bit_identical(&r, &store.query_full_scan(&q).unwrap());
 }
 
+/// A chunk with one overflowed block (an f16 block of 60000s, whose DC
+/// does not fit in f16) has a NaN block envelope. Its zone map hull is
+/// `(−∞, +∞)`, not a finite hull that leaves the block out, and no value
+/// range prunes or rejects it.
+#[test]
+fn an_overflowed_block_widens_its_chunk_to_every_value() {
+    let _serial = serial();
+    let p = tmp("overflow.blzs");
+    let mut w = StoreWriter::create(
+        &p,
+        Settings::new(vec![8, 8]).unwrap(),
+        ScalarType::F16,
+        IndexType::I16,
+    )
+    .unwrap();
+    for t in 0..3u64 {
+        let frame = NdArray::from_fn(vec![8, 16], |i| {
+            if t == 1 && i[1] >= 8 {
+                60000.0
+            } else {
+                t as f64 + ((i[0] + i[1]) as f64 / 5.0).sin()
+            }
+        });
+        w.append(t, &frame).unwrap();
+    }
+    w.finish().unwrap();
+    let store = Store::open(&p).unwrap();
+    let hulls: Vec<(f64, f64)> = store
+        .entries()
+        .iter()
+        .map(|e| (e.zone.stats.min_bound, e.zone.stats.max_bound))
+        .collect();
+    assert_eq!(hulls[1], (f64::NEG_INFINITY, f64::INFINITY), "{hulls:?}");
+    assert!(hulls.iter().all(|&(lo, hi)| !lo.is_nan() && !hi.is_nan()));
+    for (lo, hi) in [(-0.5, 0.5), (5.0, 6.0), (1e9, 2e9), (-2e9, -1e9)] {
+        let q = Query {
+            from_label: 0,
+            to_label: 2,
+            predicate: Some(Predicate::ValueInRange { lo, hi }),
+            aggregate: Aggregate::Sum,
+        };
+        let r = store.query(&q).unwrap();
+        assert!(r.matched_labels.contains(&1), "[{lo}, {hi}]: {r:?}");
+        // The overflowed chunk's sum is NaN, so compare bits.
+        let full = store.query_full_scan(&q).unwrap();
+        let bits = |r: &blazr_store::QueryResult| {
+            let zone = blazr_store::ZoneMap {
+                stats: r.stats,
+                bounds: r.bounds,
+            };
+            (r.value.to_bits(), zone.to_bits(), r.matched_labels.clone())
+        };
+        assert_eq!(bits(&r), bits(&full), "[{lo}, {hi}]");
+    }
+}
+
 /// The full scan follows the payload, not the footer: with one footer
 /// zone map's mean rewritten (and the footer checksum re-sealed, so the
 /// store opens cleanly), a full-scan `MeanInRange` query around the

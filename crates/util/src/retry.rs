@@ -60,13 +60,6 @@ pub struct Retried<T> {
     pub gave_up: bool,
 }
 
-impl<T> Retried<T> {
-    /// Unwraps into the plain result, dropping the accounting.
-    pub fn into_result(self) -> io::Result<T> {
-        self.result
-    }
-}
-
 impl RetryPolicy {
     /// True for error kinds a bounded retry may fix: the EINTR-style
     /// class (`Interrupted`, `WouldBlock`, `TimedOut`). Data-integrity

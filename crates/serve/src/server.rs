@@ -4,9 +4,9 @@
 //!
 //! Life of a request: the acceptor thread blocks in the [`Listener`]
 //! until a connection arrives (waking at least every 5 ms to recheck
-//! drain state) and either queues the connection (bounded queue), sheds it with `429` +
-//! `Retry-After` when the queue is full, or answers `503` while
-//! draining. A worker pops the connection, reads the head under the
+//! drain state) and either queues the connection (bounded queue), sheds
+//! it with `429` + `Retry-After` when the queue is full, or answers
+//! `503` while draining. A worker pops the connection, reads the head under the
 //! request deadline (transient I/O faults retried under the default
 //! [`RetryPolicy`]), parses it with [`Query::parse`], runs it through
 //! [`Store::run`] with a cancellation check wired to the same deadline
